@@ -1,22 +1,23 @@
-// Saturating throughput of the gateway data plane, per transport,
-// before/after batching (docs/DATAPLANE.md §6 is the companion runbook).
+// Saturating throughput of the gateway data plane, per transport, with
+// and without coalescing (docs/DATAPLANE.md §6 is the companion runbook).
 //
 // For each transport (loopback, TCP over localhost, shm ring) the bench
 // drives a dist::DataPlane at saturating load — the sender offers as fast
-// as the flow-control window allows — in two modes:
+// as the flow-control window allows, and the bench's receiver grants
+// CREDIT back as it consumes — in two modes:
 //
-//   * unbatched: the peer announced protocol version 2, so every message
-//     goes out as its own DATA frame (one channel write — one syscall on
-//     TCP — per message: the pre-v3 hot path);
-//   * batched:   the peer is v3, so messages coalesce into BATCH frames
-//     under the credit window, with the bench's receiver granting CREDIT
-//     back as it consumes.
+//   * unbatched: batch_max = 1 and a credit window the run never exhausts,
+//     so every offer flushes its own BATCH frame (one channel write — one
+//     syscall on TCP — per message): the baseline batching must beat;
+//   * batched:   batch_max = 32, so messages coalesce into BATCH frames
+//     under the credit window.
 //
-// Reported per variant: sustained messages/sec, end-to-end p99 latency at
-// that load (producer timestamp to receive instant), and messages per
-// channel write. A final phase points the batched plane at a stalled
-// receiver that never grants credit, proving sender memory stays bounded
-// by the route queue cap (drop-newest beyond it).
+// Reported per variant: sustained messages/sec and messages per channel
+// write. Latency is not reported: at saturation it only measures queueing
+// delay (bench_e2e measures latency at stated offered loads). A final
+// phase points the batched plane at a stalled receiver that never grants
+// credit, proving sender memory stays bounded by the route queue cap
+// (drop-newest beyond it).
 //
 // Three properties are asserted hard, so a regression fails the bench
 // run: batched TCP must beat unbatched TCP by >= 3x messages/sec,
@@ -43,13 +44,13 @@
 #include "dist/protocol.hpp"
 #include "fig7_harness.hpp"
 #include "rtsj/time/time.hpp"
-#include "util/stats.hpp"
 
 namespace {
 
 using rtcf::bench::JsonRow;
 using rtcf::comm::Frame;
 using rtcf::dist::DataPlane;
+using rtcf::dist::DataPlaneConfig;
 using rtcf::dist::FrameType;
 using rtcf::rtsj::AbsoluteTime;
 using rtcf::rtsj::RelativeTime;
@@ -61,8 +62,6 @@ std::int64_t now_ns() {
 
 struct VariantOutcome {
   double msgs_per_sec = 0.0;
-  double p99_us = 0.0;
-  double median_us = 0.0;
   double msgs_per_frame = 0.0;
   std::uint64_t frames = 0;
   /// Steady-state allocations per message, from the pool/ring counters
@@ -76,22 +75,20 @@ struct VariantOutcome {
 };
 
 /// Drives `count` messages through a fresh DataPlane from `near` to
-/// `far`. `batched` selects the peer's announced protocol version.
+/// `far`, coalescing up to `batch_max` messages per frame. With
+/// batch_max == 1 the window covers the whole run: a closed window would
+/// queue a backlog that the next grant flushes as one multi-message frame.
 VariantOutcome run_variant(const std::shared_ptr<rtcf::comm::Channel>& near,
                            const std::shared_ptr<rtcf::comm::Channel>& far,
-                           bool batched, std::size_t count) {
-  rtcf::dist::DataPlaneConfig config;
-  config.batch_max = 32;
+                           std::size_t batch_max, std::size_t count) {
+  DataPlaneConfig config;
+  config.batch_max = batch_max;
   config.flush_interval = RelativeTime::microseconds(200);
-  config.credit_window = 1024;
+  config.credit_window = batch_max == 1 ? count : 1024;
   config.route_queue_cap = 4096;
   DataPlane plane(config);
-  plane.set_peer_version("peer",
-                         batched ? rtcf::dist::kProtocolVersion
-                                 : std::uint16_t{2});
   const std::size_t route = plane.add_route("C", "out", near, "peer");
 
-  rtcf::util::SampleSet latency_us(count);
   std::atomic<std::int64_t> end_ns{0};
 
   std::thread receiver([&] {
@@ -100,33 +97,22 @@ VariantOutcome run_variant(const std::shared_ptr<rtcf::comm::Channel>& near,
     Frame frame;
     while (received < count) {
       if (!far->receive(frame, RelativeTime::milliseconds(200))) continue;
-      const std::int64_t arrival = now_ns();
-      if (frame.type == static_cast<std::uint16_t>(FrameType::Data)) {
-        const rtcf::dist::DataPayload data = rtcf::dist::parse_data(frame);
-        latency_us.add(static_cast<double>(arrival -
-                                           data.message.timestamp_ns) /
-                       1e3);
-        ++received;
-      } else if (frame.type == static_cast<std::uint16_t>(FrameType::Batch)) {
-        // Decode in place, as the runtime's inbox drain does — no
-        // BatchPayload materialization on the consuming side either.
-        rtcf::dist::BatchView view(frame.payload.data(),
-                                   frame.payload.size());
-        rtcf::dist::BatchView::Route r;
-        rtcf::comm::Message m;
-        while (view.next_route(r)) {
-          for (std::uint32_t i = 0; i < r.messages; ++i) {
-            view.next_message(m);
-            latency_us.add(
-                static_cast<double>(arrival - m.timestamp_ns) / 1e3);
-            ++received;
-            ++pending_credits;
-          }
+      if (frame.type != static_cast<std::uint16_t>(FrameType::Batch)) continue;
+      // Decode in place, as the runtime's inbox drain does — no
+      // BatchPayload materialization on the consuming side either.
+      rtcf::dist::BatchView view(frame.payload.data(), frame.payload.size());
+      rtcf::dist::BatchView::Route r;
+      rtcf::comm::Message m;
+      while (view.next_route(r)) {
+        for (std::uint32_t i = 0; i < r.messages; ++i) {
+          view.next_message(m);
+          ++received;
+          ++pending_credits;
         }
       }
       // Replenish-on-consume, as a real entry gateway would
       // (docs/DATAPLANE.md §3): grant once half a window accumulates.
-      if (batched && pending_credits >= config.credit_window / 2) {
+      if (pending_credits >= config.credit_window / 2) {
         far->send(rtcf::dist::make_credit({"C", "out", pending_credits}));
         pending_credits = 0;
       }
@@ -150,25 +136,23 @@ VariantOutcome run_variant(const std::shared_ptr<rtcf::comm::Channel>& near,
   // class it will ever need by then, so the delta to the end measures the
   // *steady state* — cold-start allocations are warmup, not regressions.
   const std::size_t warmup = count / 10;
-  rtcf::dist::DataPlaneStats warm{};
+  rtcf::monitor::DataPlaneCounters::Snapshot warm{};
   bool warm_taken = false;
   const std::int64_t start = now_ns();
   for (std::size_t i = 0; i < count; ++i) {
     msg.sequence = i;
-    msg.timestamp_ns = now_ns();
     while (plane.offer(route, msg) == DataPlane::Offer::Dropped) {
       // Route queue full: the window is exhausted and the receiver is
       // behind. Pick up grants, push a deadline flush, try again.
       poll_credits();
       plane.flush(false);
       std::this_thread::yield();
-      msg.timestamp_ns = now_ns();
     }
     if (!warm_taken && i >= warmup) {
       warm = plane.stats();
       warm_taken = true;
     }
-    if (batched && (i & 0x3F) == 0) poll_credits();
+    if ((i & 0x3F) == 0) poll_credits();
   }
   while (plane.stats().queued != 0) {
     poll_credits();
@@ -177,15 +161,13 @@ VariantOutcome run_variant(const std::shared_ptr<rtcf::comm::Channel>& near,
   }
   receiver.join();
 
-  const rtcf::dist::DataPlaneStats stats = plane.stats();
+  const auto stats = plane.stats();
   VariantOutcome out;
   const double elapsed_s =
       static_cast<double>(end_ns.load() - start) / 1e9;
   out.msgs_per_sec =
       elapsed_s > 0.0 ? static_cast<double>(count) / elapsed_s : 0.0;
-  out.p99_us = latency_us.percentile(99);
-  out.median_us = latency_us.median();
-  out.frames = stats.batches + stats.legacy_sends;
+  out.frames = stats.batches;
   out.msgs_per_frame =
       out.frames != 0
           ? static_cast<double>(stats.sent) /
@@ -207,8 +189,6 @@ JsonRow to_row(const std::string& name, const VariantOutcome& v) {
   JsonRow row;
   row.name = name;
   row.metrics = {{"msgs_per_sec", v.msgs_per_sec},
-                 {"median_us", v.median_us},
-                 {"p99_us", v.p99_us},
                  {"msgs_per_frame", v.msgs_per_frame},
                  {"allocs_per_msg", v.allocs_per_msg},
                  {"bytes_copied_per_msg", v.bytes_copied_per_msg}};
@@ -219,23 +199,21 @@ JsonRow to_row(const std::string& name, const VariantOutcome& v) {
 /// drains once, then everything queues. Sender memory must stay bounded
 /// by route_queue_cap, with the overflow declared as drop-newest.
 JsonRow run_stalled_receiver(std::size_t offers, bool& ok) {
-  rtcf::dist::DataPlaneConfig config;
+  DataPlaneConfig config;
   config.batch_max = 32;
   config.flush_interval = RelativeTime::microseconds(200);
   config.credit_window = 64;
   config.route_queue_cap = 256;
   DataPlane plane(config);
-  plane.set_peer_version("peer", rtcf::dist::kProtocolVersion);
   auto [near, far] = rtcf::comm::LoopbackChannel::make_pair();
   const std::size_t route = plane.add_route("C", "out", near, "peer");
 
   rtcf::comm::Message msg;
   for (std::size_t i = 0; i < offers; ++i) {
     msg.sequence = i;
-    msg.timestamp_ns = now_ns();
     plane.offer(route, msg);
   }
-  const rtcf::dist::DataPlaneStats stats = plane.stats();
+  const auto stats = plane.stats();
   if (stats.queued > config.route_queue_cap) {
     std::fprintf(stderr,
                  "FAIL: stalled receiver queued %llu > cap %zu\n",
@@ -277,10 +255,11 @@ int main(int argc, char** argv) {
 
   for (const bool batched : {false, true}) {
     const char* mode = batched ? "batched" : "unbatched";
+    const std::size_t batch_max = batched ? 32 : 1;
 
     {
       auto [near, far] = rtcf::comm::LoopbackChannel::make_pair();
-      const VariantOutcome v = run_variant(near, far, batched, count);
+      const VariantOutcome v = run_variant(near, far, batch_max, count);
       rows.push_back(to_row(std::string("loopback/") + mode, v));
       near->close();
     }
@@ -299,7 +278,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "FAIL: cannot connect to localhost\n");
         return 1;
       }
-      const VariantOutcome v = run_variant(client, server, batched, count);
+      const VariantOutcome v = run_variant(client, server, batch_max, count);
       rows.push_back(to_row(std::string("tcp/") + mode, v));
       if (batched) {
         tcp_batched = v.msgs_per_sec;
@@ -324,7 +303,7 @@ int main(int argc, char** argv) {
                      mode);
       } else {
         const VariantOutcome v =
-            run_variant(creator, attacher, batched, count);
+            run_variant(creator, attacher, batch_max, count);
         rows.push_back(to_row(std::string("shm/") + mode, v));
         if (batched) shm_batched_allocs = v.allocs_per_msg;
         attacher->close();

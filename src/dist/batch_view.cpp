@@ -42,13 +42,6 @@ comm::Message decode_message(WireReader& r) {
 
 }  // namespace
 
-void encode_data_payload(SpanWriter& w, std::string_view client,
-                         std::string_view port, const comm::Message& m) {
-  write_str_view(w, client);
-  write_str_view(w, port);
-  write_message_into(w, m);
-}
-
 void encode_credit_payload(SpanWriter& w, std::string_view client,
                            std::string_view port, std::uint64_t credits) {
   write_str_view(w, client);

@@ -1,15 +1,14 @@
-// Zero-copy views over the v3 data-plane payloads (docs/DATAPLANE.md
-// "Zero-copy path"). The structs in dist/protocol.hpp (`BatchPayload`,
-// `DataPayload`) materialize every route name and message into owned
-// containers — fine for the control plane, too expensive at data-plane
-// rates. This header provides the same encodings without the containers:
+// Zero-copy views over the data-plane payloads (docs/DATAPLANE.md
+// "Zero-copy path"). `BatchPayload` in dist/protocol.hpp materializes
+// every route name and message into owned containers — fine for tests
+// and tooling, too expensive at data-plane rates. This header provides
+// the same encodings without the containers:
 //
 //   * size accounting (`*_wire_bytes`) so a caller can reserve exactly the
 //     right span in a transport (shm ring reservation, pooled buffer);
-//   * `BatchSpanEncoder` / `encode_data_payload` / `encode_credit_payload`
-//     that write directly into that span, byte-identical to
-//     make_batch/make_data/make_credit (pinned by the `zerocopy` golden
-//     tests);
+//   * `BatchSpanEncoder` / `encode_credit_payload` that write directly
+//     into that span, byte-identical to make_batch/make_credit (pinned by
+//     the `zerocopy` golden tests);
 //   * `BatchView`, an in-place decoder that yields route names as
 //     string_views into the receive buffer and copies each message once,
 //     straight into the caller's `comm::Message` — no per-message vector,
@@ -46,25 +45,15 @@ inline std::size_t batch_route_wire_bytes(std::string_view client,
          4 /* message count */ + messages * kMessageWireBytes;
 }
 
-/// Encoded size of a DATA payload.
-inline std::size_t data_payload_wire_bytes(std::string_view client,
-                                           std::string_view port) {
-  return 4 + client.size() + 4 + port.size() + kMessageWireBytes;
-}
-
 /// Encoded size of a CREDIT payload.
 inline std::size_t credit_payload_wire_bytes(std::string_view client,
                                              std::string_view port) {
   return 4 + client.size() + 4 + port.size() + 8;
 }
 
-/// Writes one message block; byte-identical to the block make_batch and
-/// make_data emit. Throws WireError if the span cannot hold it.
+/// Writes one message block; byte-identical to the block make_batch
+/// emits. Throws WireError if the span cannot hold it.
 void write_message_into(SpanWriter& w, const comm::Message& m);
-
-/// Writes a DATA payload into `w`; byte-identical to make_data's payload.
-void encode_data_payload(SpanWriter& w, std::string_view client,
-                         std::string_view port, const comm::Message& m);
 
 /// Writes a CREDIT payload into `w`; byte-identical to make_credit's.
 void encode_credit_payload(SpanWriter& w, std::string_view client,

@@ -7,7 +7,7 @@
 // ModeChange event carries the same virtual commit instant, and the
 // cluster-wide schedule is bit-for-bit reproducible. Cross-node bridged
 // bindings are chained through completion callbacks with a configurable
-// link latency, the virtual-time stand-in for the DATA hop.
+// link latency, the virtual-time stand-in for the data-plane hop.
 #pragma once
 
 #include <cstdint>

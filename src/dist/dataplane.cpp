@@ -7,7 +7,10 @@
 namespace rtcf::dist {
 
 namespace {
-constexpr std::uint16_t kLegacyVersion = 2;
+/// One counter write (relaxed: counters order nothing).
+void add(std::atomic<std::uint64_t>& counter, std::uint64_t n = 1) {
+  counter.fetch_add(n, std::memory_order_relaxed);
+}
 }  // namespace
 
 void DataPlane::set_counters(monitor::DataPlaneCounters* counters) {
@@ -18,19 +21,16 @@ void DataPlane::set_counters(monitor::DataPlaneCounters* counters) {
 void DataPlane::set_peer_version(const std::string& peer,
                                  std::uint16_t version) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  peer_versions_[peer] = version;
-  // Refresh the cached copy on every route toward this peer — a HELLO
-  // can upgrade a peer mid-run (the unannounced-peer-upgrades test) and
-  // offer() only ever reads the cache.
-  for (ExitRoute& route : exits_) {
-    if (route.peer == peer) route.protocol = version;
+  const bool current = version == kProtocolVersion;
+  if (current) {
+    rejected_peers_.erase(peer);
+  } else {
+    rejected_peers_.insert(peer);
+    add(counters_->version_mismatches);
   }
-}
-
-std::uint16_t DataPlane::peer_version(const std::string& peer) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = peer_versions_.find(peer);
-  return it == peer_versions_.end() ? kLegacyVersion : it->second;
+  for (ExitRoute& route : exits_) {
+    if (route.peer == peer) route.active = current && route.channel != nullptr;
+  }
 }
 
 void DataPlane::clear_routes() {
@@ -63,9 +63,8 @@ std::size_t DataPlane::add_route(const std::string& client,
   ExitRoute& route = exits_[it->second];
   route.peer = peer;
   route.channel = std::move(channel);
-  route.active = route.channel != nullptr;
-  const auto vit = peer_versions_.find(peer);
-  route.protocol = vit == peer_versions_.end() ? kLegacyVersion : vit->second;
+  route.active =
+      route.channel != nullptr && rejected_peers_.count(peer) == 0;
   return it->second;
 }
 
@@ -103,15 +102,9 @@ bool DataPlane::send_encoded(comm::Channel& channel, FrameType type,
     const bool ok = channel.commit_frame(used);
     if (ok) {
       if (reservation.in_place) {
-        stats_.ring_frames += 1;
-        if (counters_ != nullptr) {
-          counters_->ring_frames.fetch_add(1, std::memory_order_relaxed);
-        }
+        add(counters_->ring_frames);
       } else {
-        stats_.bytes_copied += used;
-        if (counters_ != nullptr) {
-          counters_->bytes_copied.fetch_add(used, std::memory_order_relaxed);
-        }
+        add(counters_->bytes_copied, used);
       }
     }
     return ok;
@@ -123,17 +116,13 @@ bool DataPlane::send_encoded(comm::Channel& channel, FrameType type,
   const std::size_t used = encode(WireSpan{buffer.data(), buffer.size()});
   const comm::ByteSpan span{buffer.data(), used};
   const bool ok = channel.send_spans(type16, &span, 1);
-  stats_.bytes_copied += used;
-  if (counters_ != nullptr) {
-    counters_->bytes_copied.fetch_add(used, std::memory_order_relaxed);
-  }
+  add(counters_->bytes_copied, used);
   pool_.release(std::move(buffer));
   sync_pool_counters();
   return ok;
 }
 
-void DataPlane::sync_pool_counters() {
-  if (counters_ == nullptr) return;
+void DataPlane::sync_pool_counters() const {
   const comm::BufferPool::Stats pool = pool_.stats();
   counters_->pool_hits.store(pool.hits, std::memory_order_relaxed);
   counters_->pool_misses.store(pool.misses, std::memory_order_relaxed);
@@ -144,62 +133,28 @@ void DataPlane::sync_pool_counters() {
 DataPlane::Offer DataPlane::offer(std::size_t route_id,
                                   const comm::Message& message) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  stats_.offered += 1;
-  if (counters_ != nullptr) {
-    counters_->offered.fetch_add(1, std::memory_order_relaxed);
-  }
+  add(counters_->offered);
   if (route_id >= exits_.size()) return Offer::Dropped;
   ExitRoute& route = exits_[route_id];
-  if (!route.active || route.channel == nullptr) return Offer::Dropped;
-
-  if (route.protocol < kBatchProtocolVersion) {
-    // Pre-v3 peer: the original one-frame-per-message path — same wire
-    // bytes, but encoded into a pooled buffer instead of a fresh vector.
-    const bool ok = send_encoded(
-        *route.channel, FrameType::Data,
-        data_payload_wire_bytes(route.client, route.port),
-        [&](WireSpan span) {
-          SpanWriter w(span);
-          encode_data_payload(w, route.client, route.port, message);
-          return w.used();
-        });
-    if (!ok) {
-      stats_.send_failures += 1;
-      if (counters_ != nullptr) {
-        counters_->send_failures.fetch_add(1, std::memory_order_relaxed);
-      }
-      return Offer::Dropped;
-    }
-    stats_.sent += 1;
-    stats_.legacy_sends += 1;
-    if (counters_ != nullptr) {
-      counters_->sent.fetch_add(1, std::memory_order_relaxed);
-      counters_->legacy_sends.fetch_add(1, std::memory_order_relaxed);
-    }
-    return Offer::Sent;
-  }
-
+  if (!route.active) return Offer::Dropped;
   if (route.queue.size() >= config_.route_queue_cap) {
     // Overflow is decided here, at the route: drop-newest, the same
     // policy the local bounded buffer applies (docs/DATAPLANE.md §4).
-    stats_.overflow_drops += 1;
-    if (counters_ != nullptr) {
-      counters_->overflow_drops.fetch_add(1, std::memory_order_relaxed);
-    }
+    add(counters_->overflow_drops);
     return Offer::Dropped;
   }
   if (route.queue.empty()) {
     route.oldest = rtsj::SteadyClock::instance().now();
   }
   route.queue.push_back(message);
-  stats_.queued += 1;
-  stats_.peak_queue_depth =
-      std::max<std::uint64_t>(stats_.peak_queue_depth, route.queue.size());
+  add(counters_->queued);
+  if (route.queue.size() >
+      counters_->peak_queue_depth.load(std::memory_order_relaxed)) {
+    counters_->peak_queue_depth.store(route.queue.size(),
+                                      std::memory_order_relaxed);
+  }
   if (route.queue.size() >= config_.batch_max && route.credits > 0) {
-    stats_.size_flushes += 1;
-    if (counters_ != nullptr) {
-      counters_->size_flushes.fetch_add(1, std::memory_order_relaxed);
-    }
+    add(counters_->size_flushes);
     stage_route(route_id, route.credits);
     send_groups();
     return exits_[route_id].queue.empty() ? Offer::Sent : Offer::Queued;
@@ -232,7 +187,7 @@ std::size_t DataPlane::stage_route(std::size_t route_index,
   group.payload_bytes +=
       batch_route_wire_bytes(route.client, route.port, take);
   route.credits -= std::min<std::uint64_t>(route.credits, take);
-  stats_.queued -= take;
+  counters_->queued.fetch_sub(take, std::memory_order_relaxed);
   return take;
 }
 
@@ -267,17 +222,10 @@ std::size_t DataPlane::send_groups() {
         });
     if (ok) {
       sent += group.messages;
-      stats_.sent += group.messages;
-      stats_.batches += 1;
-      if (counters_ != nullptr) {
-        counters_->sent.fetch_add(group.messages, std::memory_order_relaxed);
-        counters_->batches.fetch_add(1, std::memory_order_relaxed);
-      }
+      add(counters_->sent, group.messages);
+      add(counters_->batches);
     } else {
-      stats_.send_failures += 1;
-      if (counters_ != nullptr) {
-        counters_->send_failures.fetch_add(1, std::memory_order_relaxed);
-      }
+      add(counters_->send_failures);
     }
     group.channel.reset();
   }
@@ -290,7 +238,7 @@ std::size_t DataPlane::flush(bool force) {
   const rtsj::AbsoluteTime now = rtsj::SteadyClock::instance().now();
   for (std::size_t i = 0; i < exits_.size(); ++i) {
     ExitRoute& route = exits_[i];
-    if (route.queue.empty() || route.channel == nullptr) continue;
+    if (route.queue.empty() || !route.active) continue;
     if (!force && now - route.oldest < config_.flush_interval) continue;
     // The stop() drain (`force`) must empty the node even when the peer's
     // grants are still in flight, so it ignores the credit balance; a
@@ -300,12 +248,7 @@ std::size_t DataPlane::flush(bool force) {
               : static_cast<std::size_t>(
                     std::min<std::uint64_t>(route.credits, route.queue.size()));
     if (limit == 0) continue;
-    if (!force) {
-      stats_.deadline_flushes += 1;
-      if (counters_ != nullptr) {
-        counters_->deadline_flushes.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
+    if (!force) add(counters_->deadline_flushes);
     stage_route(i, limit);
   }
   return send_groups();
@@ -351,29 +294,18 @@ bool DataPlane::send_grant(EntryRoute& route) {
         return w.used();
       });
   if (!ok) {
-    stats_.send_failures += 1;
-    if (counters_ != nullptr) {
-      counters_->send_failures.fetch_add(1, std::memory_order_relaxed);
-    }
+    add(counters_->send_failures);
     return false;
   }
-  stats_.credits_granted += route.pending;
-  if (counters_ != nullptr) {
-    counters_->credits_granted.fetch_add(route.pending,
-                                         std::memory_order_relaxed);
-  }
+  add(counters_->credits_granted, route.pending);
   route.pending = 0;
   return true;
 }
 
-DataPlaneStats DataPlane::stats() const {
+monitor::DataPlaneCounters::Snapshot DataPlane::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  DataPlaneStats s = stats_;
-  const comm::BufferPool::Stats pool = pool_.stats();
-  s.pool_hits = pool.hits;
-  s.pool_misses = pool.misses;
-  s.pool_high_water = pool.high_water;
-  return s;
+  sync_pool_counters();
+  return counters_->snapshot();
 }
 
 }  // namespace rtcf::dist

@@ -2,29 +2,28 @@
 // control for bridged asynchronous bindings (docs/DATAPLANE.md is the
 // normative spec).
 //
-// PR-sized history: the first data plane sent one DATA frame — one
-// channel write, one syscall on TCP — per forwarded message. This class
-// replaces that hot path. Exit gateways offer() messages into bounded
-// per-route queues; flush() coalesces everything pending toward a peer
-// into one BATCH frame per channel, triggered by queue depth (batch_max)
-// or age (flush_interval). A per-route credit window caps how many
-// messages may be on the wire ahead of the consuming entry gateway: the
-// entry side grants credits back (CREDIT frames) as it injects, so a slow
-// node backpressures the bridge into the route queue, and overflow is
-// decided *at the route* (drop-newest, mirroring the local bounded
-// buffer's policy) instead of inside a wedged TCP write.
+// Exit gateways offer() messages into bounded per-route queues; flush()
+// coalesces everything pending toward a peer into one BATCH frame per
+// channel, triggered by queue depth (batch_max) or age (flush_interval).
+// A per-route credit window caps how many messages may be on the wire
+// ahead of the consuming entry gateway: the entry side grants credits
+// back (CREDIT frames) as it injects, so a slow node backpressures the
+// bridge into the route queue, and overflow is decided *at the route*
+// (drop-newest, mirroring the local bounded buffer's policy) instead of
+// inside a wedged TCP write. Every route batches from its first message;
+// a peer whose HELLO announces another protocol version is rejected.
 //
-// Peers that never announced protocol version 3 in their HELLO fall back
-// to the per-message DATA path — no batching, no credits — so a v3 node
-// interoperates with a v2 cluster frame-for-frame.
+// Each data-plane event is one write into a monitor::DataPlaneCounters
+// block — the plane's own until set_counters() attaches the runtime
+// monitor's — and stats() reads that same block.
 //
 // Threading discipline (the channel contracts depend on it): every
-// channel WRITE — batch flush, legacy DATA send, CREDIT grant — happens
-// on the executive thread (offer/flush from the launcher boundary hook,
-// note_injected from the inbox drain, or the single-threaded stop()
-// drain). The serve thread only tops up credits (on_credit) and version
-// facts (set_peer_version) under the internal mutex. One writer per
-// channel is exactly what keeps the shm-ring transport SPSC.
+// channel WRITE — batch flush, CREDIT grant — happens on the executive
+// thread (offer/flush from the launcher boundary hook, note_injected from
+// the inbox drain, or the single-threaded stop() drain). The serve thread
+// only tops up credits (on_credit) and records HELLO versions
+// (set_peer_version) under the internal mutex. One writer per channel is
+// exactly what keeps the shm-ring transport SPSC.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +31,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,39 +60,16 @@ struct DataPlaneConfig {
   std::size_t route_queue_cap = 1024;
 };
 
-/// Point-in-time counter snapshot (also mirrored into the runtime
-/// monitor's DataPlaneCounters when attached).
-struct DataPlaneStats {
-  std::uint64_t offered = 0;        ///< Messages handed to offer().
-  std::uint64_t sent = 0;           ///< Messages put on a channel.
-  std::uint64_t batches = 0;        ///< BATCH frames written.
-  std::uint64_t legacy_sends = 0;   ///< Per-message DATA frames (v2 peers).
-  std::uint64_t size_flushes = 0;   ///< Route flushes on batch_max.
-  std::uint64_t deadline_flushes = 0;  ///< Route flushes on flush_interval.
-  std::uint64_t overflow_drops = 0;    ///< Drop-newest at a full queue.
-  std::uint64_t send_failures = 0;     ///< Channel writes refused.
-  std::uint64_t credits_granted = 0;   ///< Credits granted entry-side.
-  std::uint64_t peak_queue_depth = 0;  ///< Largest single-route queue seen.
-  std::uint64_t queued = 0;            ///< Messages queued right now.
-  // Zero-copy path (docs/DATAPLANE.md "Zero-copy path"):
-  std::uint64_t ring_frames = 0;   ///< Frames encoded directly in a ring.
-  std::uint64_t bytes_copied = 0;  ///< Payload bytes staged in a user-space
-                                   ///< buffer before the transport (0 for
-                                   ///< in-ring frames).
-  std::uint64_t pool_hits = 0;       ///< BufferPool freelist hits.
-  std::uint64_t pool_misses = 0;     ///< BufferPool allocations.
-  std::uint64_t pool_high_water = 0; ///< Max pool buffers outstanding.
-};
-
 /// The per-node data plane: exit routes (sending side) and entry routes
 /// (credit-granting side), owned by the NodeRuntime.
 class DataPlane {
  public:
   /// What became of an offered message.
   enum class Offer {
-    Sent,     ///< On the wire (flushed immediately or legacy DATA).
+    Sent,     ///< On the wire (the offer triggered a size flush).
     Queued,   ///< Accepted, waiting for a flush or for credit.
-    Dropped,  ///< Unrouted, queue full, or the channel refused it.
+    Dropped,  ///< Unrouted, rejected peer, queue full, or the channel
+              ///< refused it.
   };
 
   /// A data plane with the given knobs.
@@ -101,15 +78,16 @@ class DataPlane {
   DataPlane(const DataPlane&) = delete;
   DataPlane& operator=(const DataPlane&) = delete;
 
-  /// Attaches the runtime monitor's counter block; every stat increment
-  /// is mirrored there from now on. Pass nullptr to detach.
+  /// Writes every counter into `counters` (non-null; the runtime
+  /// monitor's block) from now on. Attach before traffic: counts already
+  /// taken stay in the previous block.
   void set_counters(monitor::DataPlaneCounters* counters);
 
-  /// Records the protocol version `peer` announced in its HELLO. Routes
-  /// toward unannounced peers assume version 2 (per-message DATA).
+  /// The HELLO version check. A `version` other than kProtocolVersion
+  /// closes every route toward `peer` (offers are Dropped, queues kept)
+  /// and counts `version_mismatches`; kProtocolVersion re-opens them.
+  /// Peers that never announced a version are assumed current.
   void set_peer_version(const std::string& peer, std::uint16_t version);
-  /// The recorded version of `peer` (2 when never announced).
-  std::uint16_t peer_version(const std::string& peer) const;
 
   /// Deactivates every route (null channel) without forgetting it: queued
   /// messages and credit balances survive a route-table refresh, and
@@ -130,7 +108,7 @@ class DataPlane {
                               const std::string& peer);
 
   /// Offers one message to an exit route (executive thread). May write
-  /// the channel (legacy path, or a size-triggered flush).
+  /// the channel (a size-triggered flush).
   Offer offer(std::size_t route, const comm::Message& message);
 
   /// Flushes pending queues (executive thread): every route whose oldest
@@ -153,8 +131,10 @@ class DataPlane {
   /// Returns the number of CREDIT frames written.
   std::size_t grant_all();
 
-  /// Counter snapshot (any thread).
-  DataPlaneStats stats() const;
+  /// Counter snapshot (any thread): publishes the pool gauges into the
+  /// counter block, then reads it — equal to the attached monitor's
+  /// snapshot taken right after.
+  monitor::DataPlaneCounters::Snapshot stats() const;
   /// The knobs this plane runs with.
   const DataPlaneConfig& config() const noexcept { return config_; }
   /// The payload buffer pool (shared with the owning runtime's receive
@@ -170,11 +150,7 @@ class DataPlane {
     std::deque<comm::Message> queue;
     std::uint64_t credits = 0;
     rtsj::AbsoluteTime oldest{};  ///< Enqueue time of queue.front().
-    bool active = false;
-    /// The peer's announced protocol version, cached here so offer()
-    /// never does a map lookup per message; refreshed by add_route() and
-    /// set_peer_version().
-    std::uint16_t protocol = 2;
+    bool active = false;  ///< Has a channel and the peer is not rejected.
   };
 
   struct EntryRoute {
@@ -226,8 +202,8 @@ class DataPlane {
                     std::size_t payload_size, Encode&& encode);
   /// Sends one entry route's pending grant (mutex held). True on success.
   bool send_grant(EntryRoute& route);
-  /// Mirrors the pool's counters into the attached monitor (mutex held).
-  void sync_pool_counters();
+  /// Publishes the pool's counters into the counter block (mutex held).
+  void sync_pool_counters() const;
 
   const DataPlaneConfig config_;
   mutable std::mutex mutex_;
@@ -235,14 +211,15 @@ class DataPlane {
   std::vector<EntryRoute> entries_;
   std::map<std::pair<std::string, std::string>, std::size_t> exit_index_;
   std::map<std::pair<std::string, std::string>, std::size_t> entry_index_;
-  std::map<std::string, std::uint16_t> peer_versions_;
+  /// Peers whose HELLO announced another protocol version.
+  std::set<std::string> rejected_peers_;
   /// Staged flush groups; `group_count_` of them are live. Elements keep
   /// their vector capacity between flushes (a clear() would free it).
   std::vector<FlushGroup> groups_;
   std::size_t group_count_ = 0;
   comm::BufferPool pool_;
-  DataPlaneStats stats_;
-  monitor::DataPlaneCounters* counters_ = nullptr;
+  monitor::DataPlaneCounters own_counters_;
+  monitor::DataPlaneCounters* counters_ = &own_counters_;
 };
 
 }  // namespace rtcf::dist

@@ -8,12 +8,13 @@
 //   node A:  client.port --async--> __gw.out.<client>.<port>   (exit)
 //   node B:  __gw.in.<client>.<port> --async--> server.iface   (entry)
 //
-// The *exit* is an active sporadic component whose content forwards every
-// delivered message as a DATA frame to the peer node. The *entry* is a
-// passive component whose only job is owning a client port wired — through
-// the ordinary membrane path, with its buffer, activation entry, and
-// timing interceptors — into the real server; the node runtime injects
-// received DATA frames by sending on that port from an executive thread.
+// The *exit* is an active sporadic component whose content offers every
+// delivered message to the node's data plane, which batches it toward the
+// peer node. The *entry* is a passive component whose only job is owning a
+// client port wired — through the ordinary membrane path, with its buffer,
+// activation entry, and timing interceptors — into the real server; the
+// node runtime injects the messages of received BATCH frames by sending on
+// that port from an executive thread.
 //
 // Because both halves are real components in the slice, a distributed
 // reload that re-shapes cross-node wiring is just a normal plan delta per
@@ -46,11 +47,10 @@ std::string gateway_entry_name(const std::string& client,
                                const std::string& port);
 
 /// Exit content: offers every delivered message to the node's DataPlane,
-/// which batches it toward the peer (or falls back to one DATA frame for
-/// a v2 peer) addressed by the logical client end (client, port) — the
-/// stable identity of the bridged binding. Unrouted exits (before the node
-/// runtime configures them, or after an abort discarded a staged route)
-/// count drops instead of sending.
+/// which batches it toward the peer addressed by the logical client end
+/// (client, port) — the stable identity of the bridged binding. Unrouted
+/// exits (before the node runtime configures them, or after an abort
+/// discarded a staged route) and offers the plane drops count as drops.
 class GatewayExitContent final : public comm::Content {
  public:
   /// Installs the route: messages are offered to `plane` under
@@ -62,8 +62,9 @@ class GatewayExitContent final : public comm::Content {
 
   /// Messages accepted by the data plane so far (sent or queued).
   std::uint64_t forwarded() const noexcept { return forwarded_; }
-  /// Messages dropped because no route was configured, the route queue
-  /// overflowed, or the channel rejected the send.
+  /// Messages dropped because no route was configured, the peer was
+  /// rejected, the route queue overflowed, or the channel refused the
+  /// send.
   std::uint64_t dropped() const noexcept { return dropped_; }
 
  private:

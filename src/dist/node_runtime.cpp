@@ -98,8 +98,8 @@ bool NodeRuntime::request_leave(const std::string& reason) {
 void NodeRuntime::connect_peer(const std::string& peer,
                                std::shared_ptr<comm::Channel> channel) {
   peers_[peer] = std::move(channel);
-  // Announce ourselves on the data channel: the version (and any shm
-  // offer) a v3 peer needs to switch this link off the per-message path.
+  // Announce ourselves on the data channel: the version the peer checks
+  // and any shm offer.
   peers_[peer]->send(make_hello(node_, shm_token_for(peer)));
   // Exits routed before the peer channel existed pick it up now.
   apply_routes(routes_);
@@ -190,9 +190,7 @@ NodeRuntime::GatewayStats NodeRuntime::gateway_stats() const {
 std::size_t NodeRuntime::inbox_depth() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   std::size_t depth = 0;
-  for (const InboxItem& item : inbox_) {
-    depth += item.batch.empty() ? 1 : item.batch_messages;
-  }
+  for (const InboxItem& item : inbox_) depth += item.batch_messages;
   return depth;
 }
 
@@ -341,20 +339,6 @@ void NodeRuntime::drain_inbox() {
     batch.swap(inbox_);
   }
   for (InboxItem& item : batch) {
-    if (item.batch.empty()) {
-      const DataPayload& data = item.data;
-      auto it = entries_.find({data.client, data.port});
-      if (it == entries_.end() || it->second.content == nullptr) {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        ++entry_drops_;
-        continue;
-      }
-      it->second.content->inject(it->second.port_name, data.message);
-      // Consumed from the wire either way — replenish the sender's window
-      // (an unbound port is the entry's drop to count, not backpressure).
-      dataplane_.note_injected(it->second.entry_route);
-      continue;
-    }
     // Deferred BATCH: decode in place, injecting straight out of the
     // receive buffer. The payload was fully validated at enqueue time,
     // so a WireError here is impossible by construction — the view's
@@ -377,6 +361,8 @@ void NodeRuntime::drain_inbox() {
         view.next_message(message);
         it->second.content->inject(it->second.port_name, message);
       }
+      // Consumed from the wire either way — replenish the sender's window
+      // (an unbound port is the entry's drop to count, not backpressure).
       dataplane_.note_injected(it->second.entry_route, route.messages);
     }
     // The buffer goes back to the shared pool, where the receive loop's
@@ -389,13 +375,6 @@ void NodeRuntime::handle_peer_frame(const std::string& peer,
                                     comm::Frame& frame) {
   try {
     switch (static_cast<FrameType>(frame.type)) {
-      case FrameType::Data: {
-        InboxItem item;
-        item.data = parse_data(frame);
-        const std::lock_guard<std::mutex> lock(mutex_);
-        inbox_.push_back(std::move(item));
-        break;
-      }
       case FrameType::Batch: {
         // Validate now (truncation throws out of this scope), defer the
         // decode: the executive injects from these bytes in place.
@@ -421,14 +400,17 @@ void NodeRuntime::handle_peer_frame(const std::string& peer,
         break;  // Unknown data-plane types are ignored (PROTOCOL.md §7).
     }
   } catch (const WireError&) {
-    // A malformed frame is dropped; the framing layer stays in sync.
+    // A malformed frame is dropped and counted; the framing layer stays
+    // in sync.
+    app_->monitor().data_plane().malformed_frames.fetch_add(
+        1, std::memory_order_relaxed);
   }
 }
 
 void NodeRuntime::handle_peer_hello(const std::string& peer,
                                     const HelloInfo& info) {
   dataplane_.set_peer_version(peer, info.protocol_version);
-  if (info.protocol_version < kBatchProtocolVersion) return;
+  if (info.protocol_version != kProtocolVersion) return;
   const std::string token = shm_token_for(peer);
   if (token.empty() || token != info.shm_token) return;
   {
@@ -512,14 +494,6 @@ void NodeRuntime::handle_control(const comm::Frame& frame) {
     case FrameType::Abort:
       handle_decision(frame);
       break;
-    case FrameType::Data: {
-      // Star topologies may relay data over the control channel.
-      InboxItem item;
-      item.data = parse_data(frame);
-      const std::lock_guard<std::mutex> lock(mutex_);
-      inbox_.push_back(std::move(item));
-      break;
-    }
     case FrameType::Takeover:
       handle_takeover(frame);
       break;
@@ -535,7 +509,6 @@ void NodeRuntime::handle_control(const comm::Frame& frame) {
 
 bool NodeRuntime::fenced(std::uint64_t coord_epoch,
                          std::atomic<std::uint64_t>& counter) {
-  if (coord_epoch == 0) return false;  // pre-v4 coordinator: never fenced
   const std::uint64_t seen = coord_epoch_seen_.load(std::memory_order_relaxed);
   if (coord_epoch < seen) {
     counter.fetch_add(1, std::memory_order_relaxed);
@@ -774,7 +747,7 @@ void NodeRuntime::handle_decision(const comm::Frame& frame) {
       if (applied && is_reload) {
         // Adopt the staged table even when it is empty: a reload that
         // removes the last cross-node binding must clear the old routes
-        // and entry map, or late DATA frames would be injected into
+        // and entry map, or late BATCH frames would be injected into
         // retired gateways.
         routes_ = std::move(staged_routes_);
         routes_dirty_ = true;

@@ -12,7 +12,7 @@
 //     — answering PREPARE with a validated vote and a parked executive,
 //     COMMIT by applying the staged transition on the caller side of the
 //     rendezvous, ABORT by releasing the workers with the old epoch
-//     intact — and the peer data channels, queueing DATA frames into an
+//     intact — and the peer data channels, queueing BATCH frames into an
 //     inbox;
 //   * the launcher's *boundary hook* drains that inbox on the executive
 //     thread at every dispatch boundary, injecting remote messages
@@ -142,7 +142,7 @@ class NodeRuntime {
   /// this node's slice away and remove it from the membership.
   bool request_leave(const std::string& reason);
   /// Highest coordinator epoch this node has seen (frames from lower
-  /// epochs are fenced; 0 until a v4 coordinator speaks).
+  /// epochs are fenced; 0 until a coordinator speaks).
   std::uint64_t coord_epoch_seen() const noexcept {
     return coord_epoch_seen_.load(std::memory_order_relaxed);
   }
@@ -164,7 +164,7 @@ class NodeRuntime {
   /// Remote messages still queued in the inbox (0 after stop()).
   std::size_t inbox_depth() const;
   /// The node's data plane (batching/credit counters for tests and ops;
-  /// the same numbers feed the runtime monitor's DataPlaneCounters).
+  /// its counters live in the runtime monitor's DataPlaneCounters).
   const DataPlane& data_plane() const noexcept { return dataplane_; }
   /// True when the data path toward `peer` runs over a negotiated
   /// shm ring instead of the attached channel.
@@ -174,17 +174,20 @@ class NodeRuntime {
   void serve_loop();
   void executive_loop();
   void boundary();  // launcher hook: inbox drain + flush + governor
-  /// One frame off a peer data channel: DATA/BATCH to the inbox, CREDIT
-  /// to the data plane, HELLO to version/shm negotiation; unknown types
-  /// are ignored (docs/PROTOCOL.md §7). Serve thread, or the stop drain.
+  /// One frame off a peer data channel: BATCH to the inbox, CREDIT to the
+  /// data plane, HELLO to the version check and shm negotiation; unknown
+  /// types are ignored (docs/PROTOCOL.md §7) and undecodable frames are
+  /// dropped and counted (`malformed_frames`). Serve thread, or the stop
+  /// drain.
   /// Takes the frame by mutable reference: a BATCH payload is *moved*
   /// into the inbox (validated, decoded in place at drain time) and the
   /// frame gets a recycled pool buffer back so the receive loop keeps
   /// its capacity-reuse property.
   void handle_peer_frame(const std::string& peer, comm::Frame& frame);
-  /// Peer HELLO: records the announced version and, when both sides
-  /// offered the same shm token, establishes the ring (the
-  /// lexicographically smaller node creates, the larger attaches).
+  /// Peer HELLO: hands the announced version to the data plane's check
+  /// and, for a current peer that offered the same shm token, establishes
+  /// the ring (the lexicographically smaller node creates, the larger
+  /// attaches).
   void handle_peer_hello(const std::string& peer, const HelloInfo& info);
   /// The shm region token shared with `peer` ("" when shm is disabled).
   std::string shm_token_for(const std::string& peer) const;
@@ -198,7 +201,7 @@ class NodeRuntime {
   /// HELLO carrying this node's resync epoch (docs/MEMBERSHIP.md §5).
   void handle_takeover(const comm::Frame& frame);
   /// True (and counted) when `coord_epoch` is below the highest seen; a
-  /// non-zero higher epoch is adopted first.
+  /// higher epoch is adopted first.
   bool fenced(std::uint64_t coord_epoch,
               std::atomic<std::uint64_t>& counter);
   void reply(FrameType type, std::uint64_t txn, const std::string& reason,
@@ -233,13 +236,11 @@ class NodeRuntime {
   std::atomic<bool> serving_{false};
   std::atomic<bool> executive_done_{true};
 
-  /// One inbox entry: either a legacy DATA payload (batch empty) or a
-  /// whole BATCH frame payload held raw. BATCH frames are validated once
-  /// on the serve thread (batch_message_count) and decoded *in place* by
-  /// the executive's drain — entry gateways inject straight out of the
-  /// receive buffer, no per-message DataPayload materialization.
+  /// One inbox entry: a whole BATCH frame payload held raw. It is
+  /// validated once on the serve thread (batch_message_count) and decoded
+  /// *in place* by the executive's drain — entry gateways inject straight
+  /// out of the receive buffer.
   struct InboxItem {
-    DataPayload data;                 ///< Legacy DATA (batch empty).
     std::vector<std::uint8_t> batch;  ///< Raw BATCH payload bytes.
     std::size_t batch_messages = 0;   ///< Messages inside `batch`.
   };

@@ -97,8 +97,6 @@ comm::Frame make_prepare_reload(const PrepareReloadPayload& payload) {
   w.bytes(payload.plan);
   w.bytes(payload.delta);
   write_routes(w, payload.routes);
-  // Version-4 extension, append-only: pre-v4 receivers stop at the route
-  // table and treat the sender as epoch 0 (never fenced).
   w.u64(payload.coord_epoch);
   return finish(FrameType::PrepareReload, w);
 }
@@ -112,7 +110,6 @@ PrepareReloadPayload parse_prepare_reload(const comm::Frame& frame) {
   payload.plan = r.bytes();
   payload.delta = r.bytes();
   payload.routes = read_routes(r);
-  if (r.at_end()) return payload;  // pre-v4 coordinator
   payload.coord_epoch = r.u64();
   return payload;
 }
@@ -121,7 +118,6 @@ comm::Frame make_prepare_mode(const PrepareModePayload& payload) {
   WireWriter w;
   w.u64(payload.txn);
   w.str(payload.mode);
-  // Version-4 extension, append-only (see make_prepare_reload).
   w.u64(payload.coord_epoch);
   return finish(FrameType::PrepareMode, w);
 }
@@ -132,7 +128,6 @@ PrepareModePayload parse_prepare_mode(const comm::Frame& frame) {
   PrepareModePayload payload;
   payload.txn = r.u64();
   payload.mode = r.str();
-  if (r.at_end()) return payload;  // pre-v4 coordinator
   payload.coord_epoch = r.u64();
   return payload;
 }
@@ -164,7 +159,6 @@ comm::Frame make_decision(FrameType type, const DecisionPayload& payload) {
   WireWriter w;
   w.u64(payload.txn);
   w.str(payload.reason);
-  // Version-4 extension, append-only (see make_prepare_reload).
   w.u64(payload.coord_epoch);
   return finish(type, w);
 }
@@ -174,26 +168,7 @@ DecisionPayload parse_decision(const comm::Frame& frame) {
   DecisionPayload payload;
   payload.txn = r.u64();
   payload.reason = r.str();
-  if (r.at_end()) return payload;  // pre-v4 coordinator
   payload.coord_epoch = r.u64();
-  return payload;
-}
-
-comm::Frame make_data(const DataPayload& payload) {
-  WireWriter w;
-  w.str(payload.client);
-  w.str(payload.port);
-  write_message(w, payload.message);
-  return finish(FrameType::Data, w);
-}
-
-DataPayload parse_data(const comm::Frame& frame) {
-  check_type(frame, FrameType::Data, "Data");
-  WireReader r(frame.payload);
-  DataPayload payload;
-  payload.client = r.str();
-  payload.port = r.str();
-  payload.message = read_message(r);
   return payload;
 }
 
@@ -265,25 +240,10 @@ comm::Frame make_hello(const std::string& node,
   WireWriter w;
   w.str(node);
   w.u16(kCodecVersion);
-  // Version-3 extension, append-only: version-2 receivers stop after the
-  // codec version and never see these fields.
   w.u16(kProtocolVersion);
   w.str(shm_token);
-  // Version-4 extension, append-only: version-3 receivers stop after the
-  // shm offer and treat the sender as resync epoch 0.
   w.u64(resync_epoch);
   return finish(FrameType::Hello, w);
-}
-
-std::string parse_hello(const comm::Frame& frame) {
-  check_type(frame, FrameType::Hello, "Hello");
-  WireReader r(frame.payload);
-  std::string node = r.str();
-  const std::uint16_t version = r.u16();
-  if (version != kCodecVersion) {
-    throw WireError("peer speaks codec version " + std::to_string(version));
-  }
-  return node;
 }
 
 HelloInfo parse_hello_info(const comm::Frame& frame) {
@@ -296,14 +256,8 @@ HelloInfo parse_hello_info(const comm::Frame& frame) {
     throw WireError("peer speaks codec version " +
                     std::to_string(info.codec_version));
   }
-  // A version-2 HELLO ends here; the defaults (protocol_version = 2, no
-  // shm offer) describe such a peer exactly.
-  if (r.at_end()) return info;
   info.protocol_version = r.u16();
   info.shm_token = r.str();
-  // A version-3 HELLO ends here; the default (resync_epoch = 0)
-  // describes a peer that never held a committed slice.
-  if (r.at_end()) return info;
   info.resync_epoch = r.u64();
   return info;
 }

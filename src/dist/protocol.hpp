@@ -5,12 +5,11 @@
 // The protocol has two planes sharing one frame format:
 //
 //   * control plane (coordinator <-> node): HELLO, the two-phase
-//     PREPARE/COMMIT/ABORT exchange, DEMOTE_REQUEST, and — since v4 —
-//     the membership plane: JOIN/LEAVE requests, STANDBY_SYNC decision
-//     records, and TAKEOVER fencing (docs/MEMBERSHIP.md);
-//   * data plane (node <-> node): DATA frames carrying one comm::Message
-//     across a bridged asynchronous binding, or — between v3 peers —
-//     BATCH frames coalescing many messages per route and CREDIT frames
+//     PREPARE/COMMIT/ABORT exchange, DEMOTE_REQUEST, and the membership
+//     plane: JOIN/LEAVE requests, STANDBY_SYNC decision records, and
+//     TAKEOVER fencing (docs/MEMBERSHIP.md);
+//   * data plane (node <-> node): BATCH frames coalescing the messages of
+//     bridged asynchronous bindings per route, and CREDIT frames
 //     replenishing the per-route flow-control window (docs/DATAPLANE.md).
 #pragma once
 
@@ -26,20 +25,11 @@
 
 namespace rtcf::dist {
 
-/// Wire-format version announced in HELLO (docs/PROTOCOL.md §1). Version 3
-/// adds the BATCH/CREDIT data plane and the shm-ring transport offer;
-/// version 4 adds the membership plane (JOIN/LEAVE/STANDBY_SYNC/TAKEOVER,
-/// the HELLO resync epoch, and coordinator-epoch fencing). A peer whose
-/// HELLO carries no version field is treated as version 2 (per-message
-/// DATA, no credits). The u16 in the frame *header* is the framing version
-/// (comm::kWireVersion) and is unchanged.
+/// The one protocol dialect, announced in HELLO (docs/PROTOCOL.md §4). A
+/// peer announcing any other version is rejected and counted. The u16 in
+/// the frame *header* is the framing version (comm::kWireVersion) and is
+/// independent of this.
 inline constexpr std::uint16_t kProtocolVersion = 4;
-
-/// First protocol version with the BATCH/CREDIT data plane and the shm
-/// transport offer — the gate for batching toward a peer. Kept separate
-/// from kProtocolVersion so later dialect bumps (v4 membership) never
-/// silently downgrade a v3 peer to per-message DATA.
-inline constexpr std::uint16_t kBatchProtocolVersion = 3;
 
 /// Frame type discriminators (comm::Frame::type).
 enum class FrameType : std::uint16_t {
@@ -61,21 +51,20 @@ enum class FrameType : std::uint16_t {
   Abort = 8,
   /// Node -> coordinator: the transition was released; epoch unchanged.
   Aborted = 9,
-  /// Node -> node: one message of a bridged asynchronous binding.
-  Data = 10,
+  // 10 was the retired per-message DATA frame; never reuse it.
   /// Node -> coordinator: sustained overload; please demote the cluster.
   DemoteRequest = 11,
-  /// Node -> node (v3): coalesced data-plane messages, grouped per route.
+  /// Node -> node: coalesced data-plane messages, grouped per route.
   Batch = 12,
-  /// Node -> node (v3): replenish a route's sender credit window.
+  /// Node -> node: replenish a route's sender credit window.
   Credit = 13,
-  /// Node -> coordinator (v4): admit me into the live membership.
+  /// Node -> coordinator: admit me into the live membership.
   Join = 14,
-  /// Node -> coordinator (v4): drain my slice and remove me.
+  /// Node -> coordinator: drain my slice and remove me.
   Leave = 15,
-  /// Coordinator -> standby (v4): one durable decision-log record.
+  /// Coordinator -> standby: one durable decision-log record.
   StandbySync = 16,
-  /// Promoted standby -> node (v4): fence older coordinator epochs.
+  /// Promoted standby -> node: fence older coordinator epochs.
   Takeover = 17,
 };
 
@@ -105,17 +94,14 @@ struct PrepareReloadPayload {
   std::vector<std::uint8_t> plan;  ///< encode_plan() of the target slice.
   std::vector<std::uint8_t> delta; ///< encode_delta() of the slice delta.
   std::vector<GatewayRoute> routes;  ///< Full post-commit route table.
-  /// Coordinator epoch of the sender (appended in v4; 0 from older
-  /// coordinators, which nodes never fence).
-  std::uint64_t coord_epoch = 0;
+  std::uint64_t coord_epoch = 0;  ///< Fencing epoch of the sender.
 };
 
 /// Payload of PrepareMode.
 struct PrepareModePayload {
   std::uint64_t txn = 0;  ///< Transaction id.
   std::string mode;       ///< Target mode name (declared on every node).
-  /// Coordinator epoch of the sender (appended in v4; 0 = never fenced).
-  std::uint64_t coord_epoch = 0;
+  std::uint64_t coord_epoch = 0;  ///< Fencing epoch of the sender.
 };
 
 /// Payload of PrepareOk / PrepareFail / Committed / Aborted.
@@ -132,15 +118,7 @@ struct NodeReplyPayload {
 struct DecisionPayload {
   std::uint64_t txn = 0;  ///< Transaction id.
   std::string reason;     ///< Abort: why (straggler timeout, veto, ...).
-  /// Coordinator epoch of the sender (appended in v4; 0 = never fenced).
-  std::uint64_t coord_epoch = 0;
-};
-
-/// Payload of Data.
-struct DataPayload {
-  std::string client;   ///< Logical client end: component...
-  std::string port;     ///< ...and port (addresses the entry gateway).
-  comm::Message message;  ///< The bridged message, verbatim.
+  std::uint64_t coord_epoch = 0;  ///< Fencing epoch of the sender.
 };
 
 /// One route's share of a BATCH frame: the logical client end that
@@ -165,21 +143,18 @@ struct CreditPayload {
   std::uint64_t credits = 0;   ///< Messages newly permitted on the wire.
 };
 
-/// Everything a HELLO announces. Version-2 peers stop after
-/// `codec_version`; version-3 peers append the wire-format version and an
-/// optional shm-ring transport offer (docs/DATAPLANE.md §5).
+/// Everything a HELLO announces (a fixed layout, docs/PROTOCOL.md §4).
 struct HelloInfo {
   std::string node;                 ///< Announcing endpoint's node name.
   std::uint16_t codec_version = 0;  ///< Plan codec (kCodecVersion).
-  /// Announced wire-format version; 2 when the HELLO carried no version
-  /// field (a pre-v3 peer).
-  std::uint16_t protocol_version = 2;
+  /// Announced protocol version; anything but kProtocolVersion is a
+  /// mismatch the receiver rejects and counts.
+  std::uint16_t protocol_version = 0;
   /// Shm-ring region name the sender is willing to share with a
-  /// co-located peer; empty = no offer.
+  /// co-located peer; empty = no offer (docs/DATAPLANE.md §5).
   std::string shm_token;
-  /// Plan epoch of the sender's committed snapshot (appended in v4) — a
-  /// rejoining node announces where its resync must start from; 0 from
-  /// pre-v4 peers and fresh joiners.
+  /// Plan epoch of the sender's committed snapshot — a rejoining node
+  /// announces where its resync must start from; 0 for fresh joiners.
   std::uint64_t resync_epoch = 0;
 };
 
@@ -264,11 +239,6 @@ comm::Frame make_decision(FrameType type, const DecisionPayload& payload);
 /// Parses a Commit/Abort frame payload.
 DecisionPayload parse_decision(const comm::Frame& frame);
 
-/// Builds a Data frame.
-comm::Frame make_data(const DataPayload& payload);
-/// Parses a Data frame payload.
-DataPayload parse_data(const comm::Frame& frame);
-
 /// Builds a Batch frame.
 comm::Frame make_batch(const BatchPayload& payload);
 /// Parses a Batch frame payload (throws WireError on truncation).
@@ -279,19 +249,15 @@ comm::Frame make_credit(const CreditPayload& payload);
 /// Parses a Credit frame payload.
 CreditPayload parse_credit(const comm::Frame& frame);
 
-/// Builds a Hello frame announcing the node name, codec version, wire
-/// version kProtocolVersion, (when non-empty) a shm-ring offer, and the
-/// sender's resync epoch. Version-2 receivers read the leading fields and
-/// ignore the rest — HELLO extension is append-only (docs/PROTOCOL.md §7).
+/// Builds a Hello frame announcing the node name, codec version, protocol
+/// version kProtocolVersion, a shm-ring offer (empty = none), and the
+/// sender's resync epoch.
 comm::Frame make_hello(const std::string& node,
                        const std::string& shm_token = std::string(),
                        std::uint64_t resync_epoch = 0);
-/// Parses a Hello frame payload; returns the node name (the codec version
-/// is checked and a mismatch throws WireError).
-std::string parse_hello(const comm::Frame& frame);
-/// Parses every field a Hello carries, tolerating version-2 frames (the
-/// trailing version/shm fields default as documented on HelloInfo). A
-/// codec mismatch still throws WireError.
+/// Parses every field of a Hello frame. Truncation or a codec mismatch
+/// throws WireError; the protocol version is returned for the caller to
+/// check.
 HelloInfo parse_hello_info(const comm::Frame& frame);
 
 /// Builds a DemoteRequest frame.

@@ -38,22 +38,26 @@
 
 namespace rtcf::monitor {
 
-/// Gateway data-plane telemetry, fed by dist::DataPlane when a node
-/// runtime owns the assembly (docs/DATAPLANE.md §7). All counters are
-/// monotonic and relaxed-atomic: writers are the executive and serve
-/// threads, readers are operator tooling polling across threads, and no
-/// counter orders anything.
+/// Gateway data-plane telemetry: the one counter block dist::DataPlane
+/// writes (docs/DATAPLANE.md §7). Each event is one relaxed-atomic write;
+/// readers are operator tooling polling across threads, and no counter
+/// orders anything. Everything is monotonic except the gauges marked so.
 struct DataPlaneCounters {
   std::atomic<std::uint64_t> offered{0};    ///< Messages handed to offer().
   std::atomic<std::uint64_t> sent{0};       ///< Messages put on a channel.
   std::atomic<std::uint64_t> batches{0};    ///< BATCH frames written.
-  std::atomic<std::uint64_t> legacy_sends{0};  ///< Per-message DATA frames
-                                               ///< (v2 peers).
   std::atomic<std::uint64_t> size_flushes{0};  ///< Flushes on batch_max.
   std::atomic<std::uint64_t> deadline_flushes{0};  ///< Flushes on interval.
   std::atomic<std::uint64_t> overflow_drops{0};  ///< Route-queue drop-newest.
   std::atomic<std::uint64_t> send_failures{0};   ///< Channel writes refused.
   std::atomic<std::uint64_t> credits_granted{0};  ///< Credits sent entry-side.
+  std::atomic<std::uint64_t> queued{0};  ///< Gauge: messages queued now.
+  std::atomic<std::uint64_t> peak_queue_depth{0};  ///< Gauge: largest
+                                                   ///< single-route queue.
+  /// Peer frames dropped because they failed to decode (WireError).
+  std::atomic<std::uint64_t> malformed_frames{0};
+  /// Peer HELLOs announcing a protocol version other than ours.
+  std::atomic<std::uint64_t> version_mismatches{0};
   // Zero-copy path (docs/DATAPLANE.md "Zero-copy path"):
   std::atomic<std::uint64_t> ring_frames{0};  ///< Frames encoded in the ring.
   std::atomic<std::uint64_t> bytes_copied{0};  ///< Payload bytes staged in a
@@ -69,12 +73,15 @@ struct DataPlaneCounters {
     std::uint64_t offered = 0;
     std::uint64_t sent = 0;
     std::uint64_t batches = 0;
-    std::uint64_t legacy_sends = 0;
     std::uint64_t size_flushes = 0;
     std::uint64_t deadline_flushes = 0;
     std::uint64_t overflow_drops = 0;
     std::uint64_t send_failures = 0;
     std::uint64_t credits_granted = 0;
+    std::uint64_t queued = 0;
+    std::uint64_t peak_queue_depth = 0;
+    std::uint64_t malformed_frames = 0;
+    std::uint64_t version_mismatches = 0;
     std::uint64_t ring_frames = 0;
     std::uint64_t bytes_copied = 0;
     std::uint64_t pool_hits = 0;
@@ -88,12 +95,15 @@ struct DataPlaneCounters {
     s.offered = offered.load(std::memory_order_relaxed);
     s.sent = sent.load(std::memory_order_relaxed);
     s.batches = batches.load(std::memory_order_relaxed);
-    s.legacy_sends = legacy_sends.load(std::memory_order_relaxed);
     s.size_flushes = size_flushes.load(std::memory_order_relaxed);
     s.deadline_flushes = deadline_flushes.load(std::memory_order_relaxed);
     s.overflow_drops = overflow_drops.load(std::memory_order_relaxed);
     s.send_failures = send_failures.load(std::memory_order_relaxed);
     s.credits_granted = credits_granted.load(std::memory_order_relaxed);
+    s.queued = queued.load(std::memory_order_relaxed);
+    s.peak_queue_depth = peak_queue_depth.load(std::memory_order_relaxed);
+    s.malformed_frames = malformed_frames.load(std::memory_order_relaxed);
+    s.version_mismatches = version_mismatches.load(std::memory_order_relaxed);
     s.ring_frames = ring_frames.load(std::memory_order_relaxed);
     s.bytes_copied = bytes_copied.load(std::memory_order_relaxed);
     s.pool_hits = pool_hits.load(std::memory_order_relaxed);

@@ -1,12 +1,15 @@
 // The gateway data plane (`ctest -L dataplane`): BATCH/CREDIT codecs,
-// coalescing and credit flow control in dist::DataPlane, v2<->v3
-// negotiation, the two-node end-to-end batched path, and the virtual-time
-// mirror's replay equality (docs/DATAPLANE.md is the spec under test).
+// coalescing and credit flow control in dist::DataPlane, the HELLO
+// version check, the two-node end-to-end batched path, the receive-path
+// drop counters, and the virtual-time mirror's replay equality
+// (docs/DATAPLANE.md is the spec under test).
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <thread>
+#include <unistd.h>
 
 #include "comm/channel.hpp"
 #include "dist/cluster_sim.hpp"
@@ -95,22 +98,6 @@ TEST(HelloCodecTest, AnnouncesProtocolVersionAndShmToken) {
   EXPECT_EQ(info.codec_version, kCodecVersion);
   EXPECT_EQ(info.protocol_version, kProtocolVersion);
   EXPECT_EQ(info.shm_token, "/rtcf.alpha.beta");
-  // The v2 accessor still reads the leading fields only.
-  EXPECT_EQ(parse_hello(frame), "alpha");
-}
-
-TEST(HelloCodecTest, LegacyHelloWithoutTrailingFieldsParsesAsV2) {
-  // A pre-v3 peer's HELLO: node + codec version, nothing appended.
-  WireWriter w;
-  w.str("legacy");
-  w.u16(kCodecVersion);
-  comm::Frame frame;
-  frame.type = static_cast<std::uint16_t>(FrameType::Hello);
-  frame.payload = w.take();
-  const HelloInfo info = parse_hello_info(frame);
-  EXPECT_EQ(info.node, "legacy");
-  EXPECT_EQ(info.protocol_version, 2u);
-  EXPECT_TRUE(info.shm_token.empty());
 }
 
 // ---- DataPlane unit behaviour ---------------------------------------------
@@ -132,7 +119,6 @@ TEST(DataPlaneTest, CoalescesUntilBatchMaxThenFlushesOneFrame) {
   config.credit_window = 64;
   config.route_queue_cap = 64;
   DataPlane plane(config);
-  plane.set_peer_version("beta", kProtocolVersion);
   auto [near, far] = comm::LoopbackChannel::make_pair();
   const std::size_t route = plane.add_route("Producer", "out", near, "beta");
 
@@ -150,11 +136,11 @@ TEST(DataPlaneTest, CoalescesUntilBatchMaxThenFlushesOneFrame) {
   for (std::uint64_t i = 0; i < 4; ++i) {
     EXPECT_EQ(batch.routes[0].messages[i].sequence, i) << "order preserved";
   }
-  const DataPlaneStats stats = plane.stats();
+  const auto stats = plane.stats();
   EXPECT_EQ(stats.batches, 1u);
   EXPECT_EQ(stats.sent, 4u);
   EXPECT_EQ(stats.size_flushes, 1u);
-  EXPECT_EQ(stats.legacy_sends, 0u);
+  EXPECT_EQ(stats.peak_queue_depth, 4u);
 }
 
 TEST(DataPlaneTest, DeadlineFlushSendsAgedPartialBatches) {
@@ -162,7 +148,6 @@ TEST(DataPlaneTest, DeadlineFlushSendsAgedPartialBatches) {
   config.batch_max = 100;
   config.flush_interval = rtsj::RelativeTime::milliseconds(50);
   DataPlane plane(config);
-  plane.set_peer_version("beta", kProtocolVersion);
   auto [near, far] = comm::LoopbackChannel::make_pair();
   const std::size_t route = plane.add_route("Producer", "out", near, "beta");
 
@@ -185,7 +170,6 @@ TEST(DataPlaneTest, CreditExhaustionBackpressuresUntilReplenished) {
   config.credit_window = 2;
   config.route_queue_cap = 16;
   DataPlane plane(config);
-  plane.set_peer_version("beta", kProtocolVersion);
   auto [near, far] = comm::LoopbackChannel::make_pair();
   const std::size_t route = plane.add_route("Producer", "out", near, "beta");
 
@@ -213,7 +197,6 @@ TEST(DataPlaneTest, FullRouteQueueDropsNewest) {
   config.credit_window = 0;  // sending disabled: everything queues
   config.route_queue_cap = 3;
   DataPlane plane(config);
-  plane.set_peer_version("beta", kProtocolVersion);
   auto [near, far] = comm::LoopbackChannel::make_pair();
   const std::size_t route = plane.add_route("Producer", "out", near, "beta");
 
@@ -221,7 +204,7 @@ TEST(DataPlaneTest, FullRouteQueueDropsNewest) {
     EXPECT_EQ(plane.offer(route, make_message(i)), DataPlane::Offer::Queued);
   }
   EXPECT_EQ(plane.offer(route, make_message(3)), DataPlane::Offer::Dropped);
-  const DataPlaneStats stats = plane.stats();
+  const auto stats = plane.stats();
   EXPECT_EQ(stats.overflow_drops, 1u);
   EXPECT_EQ(stats.queued, 3u);
   EXPECT_EQ(stats.offered, 4u);
@@ -237,24 +220,36 @@ TEST(DataPlaneTest, FullRouteQueueDropsNewest) {
   EXPECT_EQ(batch.routes[0].messages.back().sequence, 2u);
 }
 
-TEST(DataPlaneTest, LegacyPeerFallsBackToPerMessageData) {
-  DataPlane plane;  // defaults; peer never announced v3
+TEST(DataPlaneTest, MismatchedHelloClosesThePeersRoutesUntilACurrentOne) {
+  DataPlaneConfig config;
+  config.batch_max = 100;
+  DataPlane plane(config);
   auto [near, far] = comm::LoopbackChannel::make_pair();
   const std::size_t route = plane.add_route("Producer", "out", near, "beta");
-  EXPECT_EQ(plane.peer_version("beta"), 2u);
+  EXPECT_EQ(plane.offer(route, make_message(0)), DataPlane::Offer::Queued)
+      << "an unannounced peer is assumed current";
 
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(plane.offer(route, make_message(i)), DataPlane::Offer::Sent);
-  }
+  plane.set_peer_version("beta", 5);
+  EXPECT_EQ(plane.stats().version_mismatches, 1u);
+  EXPECT_EQ(plane.offer(route, make_message(1)), DataPlane::Offer::Dropped);
+  EXPECT_EQ(plane.flush(true), 0u) << "nothing goes to a rejected peer";
+  // A route-table refresh must not re-open the rejected peer's routes.
+  plane.clear_routes();
+  EXPECT_EQ(plane.add_route("Producer", "out", near, "beta"), route);
+  EXPECT_EQ(plane.offer(route, make_message(2)), DataPlane::Offer::Dropped);
+
+  // A current HELLO re-opens them; the message queued before the
+  // rejection was held, not lost.
+  plane.set_peer_version("beta", kProtocolVersion);
+  EXPECT_EQ(plane.offer(route, make_message(3)), DataPlane::Offer::Queued);
+  EXPECT_EQ(plane.flush(true), 2u);
   const auto frames = drain(*far);
-  ASSERT_EQ(frames.size(), 3u) << "one DATA frame per message";
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(frames[i].type, static_cast<std::uint16_t>(FrameType::Data));
-    EXPECT_EQ(parse_data(frames[i]).message.sequence, i);
-  }
-  const DataPlaneStats stats = plane.stats();
-  EXPECT_EQ(stats.legacy_sends, 3u);
-  EXPECT_EQ(stats.batches, 0u);
+  ASSERT_EQ(frames.size(), 1u);
+  const BatchPayload batch = parse_batch(frames[0]);
+  ASSERT_EQ(batch.routes[0].messages.size(), 2u);
+  EXPECT_EQ(batch.routes[0].messages[0].sequence, 0u);
+  EXPECT_EQ(batch.routes[0].messages[1].sequence, 3u);
+  EXPECT_EQ(plane.stats().version_mismatches, 1u);
 }
 
 TEST(DataPlaneTest, QueuedMessagesSurviveARouteRefresh) {
@@ -264,7 +259,6 @@ TEST(DataPlaneTest, QueuedMessagesSurviveARouteRefresh) {
   config.credit_window = 0;
   config.route_queue_cap = 16;
   DataPlane plane(config);
-  plane.set_peer_version("beta", kProtocolVersion);
   auto [near, far] = comm::LoopbackChannel::make_pair();
   const std::size_t route = plane.add_route("Producer", "out", near, "beta");
   EXPECT_EQ(plane.offer(route, make_message(0)), DataPlane::Offer::Queued);
@@ -387,7 +381,7 @@ NodeMap bridge_map() {
   return map;
 }
 
-TEST(DataPlaneEndToEndTest, TwoV3NodesBridgeBatchedTrafficWithoutLoss) {
+TEST(DataPlaneEndToEndTest, TwoNodesBridgeBatchedTrafficWithoutLoss) {
   const Architecture global = bridge_arch();
   const NodeMap map = bridge_map();
   NodeRuntime::Options options;
@@ -405,10 +399,6 @@ TEST(DataPlaneEndToEndTest, TwoV3NodesBridgeBatchedTrafficWithoutLoss) {
   alpha.stop();
   beta.stop();
 
-  // HELLO negotiation made both directions v3.
-  EXPECT_EQ(alpha.data_plane().peer_version("beta"), kProtocolVersion);
-  EXPECT_EQ(beta.data_plane().peer_version("alpha"), kProtocolVersion);
-
   const auto* producer = dynamic_cast<const DpProducerImpl*>(
       alpha.application().content("Producer"));
   const auto* sink =
@@ -420,58 +410,72 @@ TEST(DataPlaneEndToEndTest, TwoV3NodesBridgeBatchedTrafficWithoutLoss) {
   EXPECT_EQ(alpha.gateway_stats().forwarded, producer->sent());
   EXPECT_EQ(beta.gateway_stats().injected, sink->received());
 
-  // The bridged traffic rode BATCH frames. (A handful of messages may go
-  // out as legacy DATA before the serve thread processes beta's HELLO,
-  // so the legacy counter is not asserted zero here — the unit tests pin
-  // the pure-v3 behaviour.)
-  const DataPlaneStats stats = alpha.data_plane().stats();
+  // Every message rode a BATCH frame, from the first one on: routes
+  // toward a peer that has not announced its version yet batch too.
+  const auto stats = alpha.data_plane().stats();
   EXPECT_GT(stats.batches, 0u);
+  EXPECT_EQ(stats.sent, producer->sent());
   EXPECT_EQ(stats.queued, 0u) << "stop() drains every route";
+  EXPECT_EQ(stats.version_mismatches, 0u);
+
+  // One source: the plane's counters are the monitor's counters.
+  const auto monitored =
+      alpha.application().monitor().data_plane().snapshot();
+  EXPECT_EQ(std::memcmp(&stats, &monitored, sizeof stats), 0)
+      << "data_plane().stats() must equal the monitor snapshot";
 }
 
-TEST(DataPlaneEndToEndTest, UnannouncedPeerGetsLegacyDataThenUpgrades) {
+TEST(DataPlaneEndToEndTest, ReceivePathCountsMalformedFramesAndRejectsVersions) {
   const Architecture global = bridge_arch();
   const NodeMap map = bridge_map();
   NodeRuntime::Options options;
-  options.run_duration = rtsj::RelativeTime::milliseconds(400);
+  options.run_duration = rtsj::RelativeTime::milliseconds(300);
+  // With a shared namespace a current HELLO carrying this token would
+  // make alpha (the smaller name) create a shm ring toward beta.
+  options.shm_namespace = "rtcf-dp-reject-" + std::to_string(::getpid());
+  const std::string token = "/" + options.shm_namespace + ".alpha.beta";
   NodeRuntime alpha(global, map, "alpha", options);
-  // The far end of the peer channel is the test, playing beta's transport:
-  // first silent (alpha must assume v2), then announcing v3 by HELLO.
+  // The far end of the peer channel is the test, playing beta.
   auto [ab, ba] = comm::LoopbackChannel::make_pair();
   alpha.connect_peer("beta", ab);
 
+  BatchPayload payload;
+  payload.routes.push_back({"Producer", "out", {make_message(1)}});
+  comm::Frame torn = make_batch(payload);
+  torn.payload.pop_back();
+  ASSERT_TRUE(ba->send(torn));
+  WireWriter w;  // a HELLO from a peer speaking version 5
+  w.str("beta");
+  w.u16(kCodecVersion);
+  w.u16(5);
+  w.str(token);
+  w.u64(0);
+  comm::Frame hello;
+  hello.type = static_cast<std::uint16_t>(FrameType::Hello);
+  hello.payload = w.take();
+  ASSERT_TRUE(ba->send(hello));
+
   alpha.start();
-  std::uint64_t data_frames = 0;
-  std::uint64_t batch_frames = 0;
-  const auto pump = [&](int millis) {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(millis);
-    comm::Frame frame;
-    while (std::chrono::steady_clock::now() < deadline) {
-      if (!ba->receive(frame, rtsj::RelativeTime::milliseconds(10))) {
-        continue;
-      }
-      if (frame.type == static_cast<std::uint16_t>(FrameType::Data)) {
-        ++data_frames;
-      } else if (frame.type ==
-                 static_cast<std::uint16_t>(FrameType::Batch)) {
-        batch_frames += parse_batch(frame).routes[0].messages.size();
-      }
-    }
-  };
-
-  pump(100);
-  EXPECT_EQ(alpha.data_plane().peer_version("beta"), 2u);
-  EXPECT_GT(data_frames, 0u) << "pre-HELLO traffic uses per-message DATA";
-  EXPECT_EQ(batch_frames, 0u);
-
-  // beta announces v3: alpha's exit route switches to BATCH mid-run.
-  ba->send(make_hello("beta"));
-  pump(200);
-  EXPECT_EQ(alpha.data_plane().peer_version("beta"), kProtocolVersion);
-  EXPECT_GT(batch_frames, 0u) << "post-HELLO traffic coalesces";
-
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (alpha.data_plane().stats().version_mismatches == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // From the rejection on, nothing more reaches the wire.
+  const auto at_rejection = alpha.data_plane().stats();
+  alpha.join_executive();
   alpha.stop();
+
+  const auto counters = alpha.application().monitor().data_plane().snapshot();
+  EXPECT_EQ(counters.malformed_frames, 1u);
+  EXPECT_EQ(counters.version_mismatches, 1u);
+  EXPECT_FALSE(alpha.shm_linked("beta"));
+  EXPECT_GT(counters.offered, at_rejection.offered) << "the producer ran on";
+  EXPECT_EQ(counters.sent, at_rejection.sent);
+  const auto gateway = alpha.gateway_stats();
+  EXPECT_GE(gateway.exit_dropped, counters.offered - at_rejection.offered)
+      << "offers toward the rejected peer are dropped";
 }
 
 // ---- the virtual-time mirror ----------------------------------------------

@@ -264,23 +264,6 @@ TEST(ProtocolTest, PrepareReloadFrameRoundTrip) {
   EXPECT_TRUE(parsed.routes[0] == payload.routes[0]);
 }
 
-TEST(ProtocolTest, DataFrameCarriesTheMessageVerbatim) {
-  DataPayload payload;
-  payload.client = "MonitoringSystem";
-  payload.port = "iAudit";
-  payload.message.type_id = 5;
-  payload.message.sequence = 99;
-  payload.message.timestamp_ns = 123456789;
-  payload.message.store(3.25);
-  const DataPayload parsed = parse_data(make_data(payload));
-  EXPECT_EQ(parsed.client, "MonitoringSystem");
-  EXPECT_EQ(parsed.port, "iAudit");
-  EXPECT_EQ(parsed.message.type_id, 5u);
-  EXPECT_EQ(parsed.message.sequence, 99u);
-  EXPECT_EQ(parsed.message.timestamp_ns, 123456789);
-  EXPECT_DOUBLE_EQ(parsed.message.load<double>(), 3.25);
-}
-
 TEST(ProtocolTest, RepliesDecisionsHelloDemoteRoundTrip) {
   NodeReplyPayload reply;
   reply.txn = 3;
@@ -306,7 +289,7 @@ TEST(ProtocolTest, RepliesDecisionsHelloDemoteRoundTrip) {
   EXPECT_EQ(parsed_decision.txn, 9u);
   EXPECT_EQ(parsed_decision.reason, "straggler");
 
-  EXPECT_EQ(parse_hello(make_hello("gamma")), "gamma");
+  EXPECT_EQ(parse_hello_info(make_hello("gamma")).node, "gamma");
 
   DemotePayload demote;
   demote.node = "alpha";
@@ -318,121 +301,53 @@ TEST(ProtocolTest, RepliesDecisionsHelloDemoteRoundTrip) {
   EXPECT_EQ(parsed_demote.level, 2);
 }
 
-TEST(ProtocolTest, HelloParsesAtEveryProtocolVersionBoundary) {
-  // A v2 peer's HELLO stops after the codec version; a v3 peer appends
-  // the protocol version and shm-ring offer; v4 appends the resync
-  // epoch. Each older dialect must keep parsing, with the absent fields
-  // at their documented defaults (docs/PROTOCOL.md §7).
-  WireWriter v2;
-  v2.str("gamma");
-  v2.u16(kCodecVersion);
-  comm::Frame hello_v2;
-  hello_v2.type = static_cast<std::uint16_t>(FrameType::Hello);
-  hello_v2.payload = v2.data();
-  const HelloInfo info_v2 = parse_hello_info(hello_v2);
-  EXPECT_EQ(info_v2.node, "gamma");
-  EXPECT_EQ(info_v2.protocol_version, 2);
-  EXPECT_EQ(info_v2.shm_token, "");
-  EXPECT_EQ(info_v2.resync_epoch, 0u);
+TEST(ProtocolTest, EveryStrictPrefixOfAControlFrameThrows) {
+  // One dialect: HELLO, PREPARE_RELOAD, PREPARE_MODE, and COMMIT/ABORT
+  // have fixed layouts, so every field is required and a frame cut
+  // anywhere short of its end is rejected (docs/PROTOCOL.md §7).
+  const comm::Frame hello = make_hello("gamma", "ring-token", 42);
+  const HelloInfo info = parse_hello_info(hello);
+  EXPECT_EQ(info.node, "gamma");
+  EXPECT_EQ(info.protocol_version, kProtocolVersion);
+  EXPECT_EQ(info.shm_token, "ring-token");
+  EXPECT_EQ(info.resync_epoch, 42u);
 
-  WireWriter v3;
-  v3.str("gamma");
-  v3.u16(kCodecVersion);
-  v3.u16(3);
-  v3.str("ring-token");
-  comm::Frame hello_v3;
-  hello_v3.type = static_cast<std::uint16_t>(FrameType::Hello);
-  hello_v3.payload = v3.data();
-  const HelloInfo info_v3 = parse_hello_info(hello_v3);
-  EXPECT_EQ(info_v3.node, "gamma");
-  EXPECT_EQ(info_v3.protocol_version, 3);
-  EXPECT_EQ(info_v3.shm_token, "ring-token");
-  EXPECT_EQ(info_v3.resync_epoch, 0u);
+  PrepareReloadPayload reload;
+  reload.txn = 42;
+  reload.expect_epoch = 7;
+  reload.plan = encode_plan(sample_plan());
+  reload.delta = encode_delta(sample_delta());
+  reload.coord_epoch = 3;
+  const comm::Frame prepare = make_prepare_reload(reload);
+  EXPECT_EQ(parse_prepare_reload(prepare).coord_epoch, 3u);
 
-  const comm::Frame hello_v4 = make_hello("gamma", "ring-token", 42);
-  const HelloInfo info_v4 = parse_hello_info(hello_v4);
-  EXPECT_EQ(info_v4.node, "gamma");
-  EXPECT_EQ(info_v4.protocol_version, kProtocolVersion);
-  EXPECT_EQ(info_v4.shm_token, "ring-token");
-  EXPECT_EQ(info_v4.resync_epoch, 42u);
+  PrepareModePayload mode_payload;
+  mode_payload.txn = 4;
+  mode_payload.mode = "Degraded";
+  mode_payload.coord_epoch = 3;
+  const comm::Frame mode = make_prepare_mode(mode_payload);
+  EXPECT_EQ(parse_prepare_mode(mode).coord_epoch, 3u);
 
-  // Every prefix of the full v4 payload must parse at exactly the three
-  // dialect boundaries and be rejected everywhere else — the appended
-  // membership fields must not have opened any torn-frame acceptance.
-  WireWriter boundary_v3;
-  boundary_v3.str("gamma");
-  boundary_v3.u16(kCodecVersion);
-  boundary_v3.u16(kProtocolVersion);
-  boundary_v3.str("ring-token");
-  const std::size_t v2_len = v2.data().size();
-  const std::size_t v3_len = boundary_v3.data().size();
-  for (std::size_t cut = 0; cut < hello_v4.payload.size(); ++cut) {
-    comm::Frame torn;
-    torn.type = static_cast<std::uint16_t>(FrameType::Hello);
-    torn.payload.assign(hello_v4.payload.begin(),
-                        hello_v4.payload.begin() + cut);
-    if (cut == v2_len || cut == v3_len) {
-      EXPECT_EQ(parse_hello_info(torn).node, "gamma")
-          << "dialect boundary at " << cut;
-    } else {
-      EXPECT_THROW(parse_hello_info(torn), WireError)
-          << "prefix length " << cut;
+  DecisionPayload decision_payload;
+  decision_payload.txn = 9;
+  decision_payload.reason = "late straggler";
+  decision_payload.coord_epoch = 3;
+  const comm::Frame decision =
+      make_decision(FrameType::Abort, decision_payload);
+  EXPECT_EQ(parse_decision(decision).coord_epoch, 3u);
+
+  const auto each_prefix = [](const comm::Frame& full, auto parse) {
+    for (std::size_t cut = 0; cut < full.payload.size(); ++cut) {
+      comm::Frame torn = full;
+      torn.payload.resize(cut);
+      EXPECT_THROW(parse(torn), WireError)
+          << "frame type " << full.type << ", prefix length " << cut;
     }
-  }
-}
-
-TEST(ProtocolTest, PreV4FramesParseWithCoordinatorEpochZero) {
-  // Fencing is an appended v4 field: a frame from a pre-v4 sender stops
-  // before it, and the receiver must default the epoch to 0 — the
-  // never-fenced marker (docs/MEMBERSHIP.md §6).
-  WireWriter d;
-  d.u64(9);
-  d.str("late straggler");
-  comm::Frame decision;
-  decision.type = static_cast<std::uint16_t>(FrameType::Abort);
-  decision.payload = d.data();
-  const DecisionPayload parsed_decision = parse_decision(decision);
-  EXPECT_EQ(parsed_decision.txn, 9u);
-  EXPECT_EQ(parsed_decision.reason, "late straggler");
-  EXPECT_EQ(parsed_decision.coord_epoch, 0u);
-
-  WireWriter m;
-  m.u64(4);
-  m.str("Degraded");
-  comm::Frame mode;
-  mode.type = static_cast<std::uint16_t>(FrameType::PrepareMode);
-  mode.payload = m.data();
-  const PrepareModePayload parsed_mode = parse_prepare_mode(mode);
-  EXPECT_EQ(parsed_mode.txn, 4u);
-  EXPECT_EQ(parsed_mode.mode, "Degraded");
-  EXPECT_EQ(parsed_mode.coord_epoch, 0u);
-
-  WireWriter p;
-  p.u64(42);
-  p.u64(7);
-  p.bytes(encode_plan(sample_plan()));
-  p.bytes(encode_delta(sample_delta()));
-  write_routes(p, {});
-  comm::Frame prepare;
-  prepare.type = static_cast<std::uint16_t>(FrameType::PrepareReload);
-  prepare.payload = p.data();
-  const PrepareReloadPayload parsed_prepare = parse_prepare_reload(prepare);
-  EXPECT_EQ(parsed_prepare.txn, 42u);
-  EXPECT_EQ(parsed_prepare.expect_epoch, 7u);
-  EXPECT_EQ(parsed_prepare.coord_epoch, 0u);
-
-  // A v4 sender's epoch survives the round trip on all three frames.
-  DecisionPayload v4_decision;
-  v4_decision.txn = 9;
-  v4_decision.coord_epoch = 3;
-  EXPECT_EQ(parse_decision(make_decision(FrameType::Commit, v4_decision))
-                .coord_epoch,
-            3u);
-  PrepareModePayload v4_mode;
-  v4_mode.txn = 4;
-  v4_mode.mode = "Degraded";
-  v4_mode.coord_epoch = 3;
-  EXPECT_EQ(parse_prepare_mode(make_prepare_mode(v4_mode)).coord_epoch, 3u);
+  };
+  each_prefix(hello, parse_hello_info);
+  each_prefix(prepare, parse_prepare_reload);
+  each_prefix(mode, parse_prepare_mode);
+  each_prefix(decision, parse_decision);
 }
 
 TEST(ProtocolTest, MembershipFramesRoundTrip) {

@@ -1,5 +1,5 @@
 // The zero-copy data plane (`ctest -L zerocopy`): golden byte-for-byte
-// equality between the span encoders and the contiguous v3 codecs, the
+// equality between the span encoders and the contiguous codecs, the
 // in-place BatchView decoder against parse_batch (including every-prefix
 // truncation), the shm ring's reserve/commit protocol (in-ring and
 // wrapped-scratch reservations), TcpChannel scatter-gather framing, the
@@ -7,8 +7,8 @@
 // (docs/DATAPLANE.md "Zero-copy path" is the spec under test).
 //
 // The one invariant everything here defends: the zero-copy paths change
-// HOW bytes reach the transport, never WHICH bytes — docs/PROTOCOL.md v3
-// framing stays byte-identical, so a v3 peer cannot tell the paths apart.
+// HOW bytes reach the transport, never WHICH bytes — docs/PROTOCOL.md
+// framing stays byte-identical, so a peer cannot tell the paths apart.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -129,18 +129,7 @@ TEST(BatchSpanEncoderTest, GoldenAgainstMakeBatch) {
             0);
 }
 
-TEST(SpanEncoderTest, DataAndCreditGoldenAgainstContiguousCodecs) {
-  const DataPayload data{"Producer", "out", make_message(5)};
-  const comm::Frame golden_data = make_data(data);
-  std::vector<std::uint8_t> buffer(
-      data_payload_wire_bytes(data.client, data.port));
-  SpanWriter dw(WireSpan{buffer.data(), buffer.size()});
-  encode_data_payload(dw, data.client, data.port, data.message);
-  ASSERT_EQ(dw.used(), golden_data.payload.size());
-  EXPECT_EQ(std::memcmp(buffer.data(), golden_data.payload.data(),
-                        golden_data.payload.size()),
-            0);
-
+TEST(SpanEncoderTest, CreditGoldenAgainstContiguousCodec) {
   const CreditPayload credit{"Producer", "out", 128};
   const comm::Frame golden_credit = make_credit(credit);
   std::vector<std::uint8_t> cbuf(
@@ -333,7 +322,7 @@ TEST(DataPlaneZeroCopyTest, ShmFlushEncodesInRingAndStaysGolden) {
   EXPECT_EQ(received.payload, golden.payload)
       << "the in-ring BATCH must be byte-identical to the contiguous codec";
 
-  const DataPlaneStats stats = plane.stats();
+  const auto stats = plane.stats();
   EXPECT_EQ(stats.sent, config.batch_max);
   EXPECT_EQ(stats.batches, 1u);
   EXPECT_GE(stats.ring_frames, 1u);
@@ -370,28 +359,13 @@ TEST(DataPlaneZeroCopyTest, PooledFallbackIsGoldenAndRecycles) {
     EXPECT_EQ(received.payload, golden.payload);
   }
 
-  const DataPlaneStats stats = plane.stats();
+  const auto stats = plane.stats();
   EXPECT_EQ(stats.batches, 2u);
   EXPECT_EQ(stats.ring_frames, 0u);  // the loopback cannot reserve
   EXPECT_GT(stats.bytes_copied, 0u);
   EXPECT_EQ(stats.pool_misses, 1u)
       << "steady-state flushing must recycle, not allocate";
   EXPECT_GE(stats.pool_hits, 1u);
-}
-
-TEST(DataPlaneZeroCopyTest, LegacyDataPathStaysGolden) {
-  auto [near, far] = comm::LoopbackChannel::make_pair();
-  DataPlane plane;
-  plane.set_peer_version("peer", 2);  // v2: per-message DATA frames
-  const std::size_t route = plane.add_route("C", "out", near, "peer");
-
-  const comm::Message m = make_message(77);
-  EXPECT_EQ(plane.offer(route, m), DataPlane::Offer::Sent);
-  comm::Frame received;
-  ASSERT_TRUE(far->receive(received, rtsj::RelativeTime::milliseconds(200)));
-  const comm::Frame golden = make_data({"C", "out", m});
-  EXPECT_EQ(received.type, golden.type);
-  EXPECT_EQ(received.payload, golden.payload);
 }
 
 // ---- TcpChannel scatter-gather ---------------------------------------------
