@@ -136,6 +136,17 @@ std::uint16_t load_u16(const std::uint8_t* in) {
 /// Upper bound on one frame, against corrupt/hostile length prefixes.
 constexpr std::uint32_t kMaxFrameBytes = 64u * 1024u * 1024u;
 
+/// Waits up to `timeout_ns` (clamped at 0) for POLLIN on `fd`. ppoll takes
+/// the timeout in nanoseconds, so a sub-millisecond wait sleeps instead of
+/// truncating to poll(..., 0) and spinning. Returns what ppoll returns.
+int wait_readable(int fd, std::int64_t timeout_ns) {
+  pollfd pfd{fd, POLLIN, 0};
+  const std::int64_t ns = std::max<std::int64_t>(timeout_ns, 0);
+  const timespec wait{static_cast<time_t>(ns / 1000000000),
+                      static_cast<long>(ns % 1000000000)};
+  return ::ppoll(&pfd, 1, &wait, nullptr);
+}
+
 }  // namespace
 
 std::unique_ptr<TcpChannel> TcpChannel::listen(std::uint16_t port) {
@@ -300,11 +311,10 @@ bool TcpChannel::read_exact(std::uint8_t* data, std::size_t size,
       close();  // stream desynchronized mid-frame: unrecoverable
       return false;
     }
-    pollfd pfd{fd_, POLLIN, 0};
+    // Waits are capped at 100 ms so closed_ is re-checked regularly.
     const auto remaining = (got > 0 ? stall_deadline : deadline) - now;
-    const int wait_ms = static_cast<int>(std::min<std::int64_t>(
-        std::max<std::int64_t>(remaining.nanos(), 0) / 1000000, 100));
-    const int ready = ::poll(&pfd, 1, wait_ms);
+    const int ready = wait_readable(
+        fd_, std::min<std::int64_t>(remaining.nanos(), 100000000));
     if (ready < 0) return false;
     if (ready == 0) {
       if (got == 0 && clock.now() >= deadline) {
@@ -327,10 +337,7 @@ bool TcpChannel::receive(Frame& frame, rtsj::RelativeTime timeout) {
     // out-wait its contract (a serve loop polling with timeout 0 would
     // otherwise block in accept() forever and become unjoinable).
     if (listen_fd_ < 0) return false;
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int wait_ms = static_cast<int>(
-        std::max<std::int64_t>(timeout.nanos(), 0) / 1000000);
-    if (::poll(&pfd, 1, wait_ms) <= 0) return false;
+    if (wait_readable(listen_fd_, timeout.nanos()) <= 0) return false;
     if (!accept_one()) return false;
   }
   std::uint8_t header[8];

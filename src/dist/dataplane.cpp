@@ -236,22 +236,35 @@ std::size_t DataPlane::send_groups() {
 std::size_t DataPlane::flush(bool force) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const rtsj::AbsoluteTime now = rtsj::SteadyClock::instance().now();
-  for (std::size_t i = 0; i < exits_.size(); ++i) {
-    ExitRoute& route = exits_[i];
-    if (route.queue.empty() || !route.active) continue;
-    if (!force && now - route.oldest < config_.flush_interval) continue;
-    // The stop() drain (`force`) must empty the node even when the peer's
-    // grants are still in flight, so it ignores the credit balance; a
-    // deadline flush respects it — that is the backpressure.
-    const std::size_t limit =
-        force ? route.queue.size()
-              : static_cast<std::size_t>(
-                    std::min<std::uint64_t>(route.credits, route.queue.size()));
-    if (limit == 0) continue;
-    if (!force) add(counters_->deadline_flushes);
-    stage_route(i, limit);
+  // A force flush must empty the node even when the peer's grants are
+  // still in flight, so it ignores the credit balance; a deadline flush
+  // respects it — that is the backpressure. Either way one frame carries
+  // at most a credit window per route, so a forced backlog goes out as
+  // several frames rather than one the transport may refuse.
+  const std::uint64_t frame_cap =
+      std::max<std::uint64_t>(1, config_.credit_window);
+  std::size_t sent = 0;
+  bool staged = true;
+  while (staged) {
+    staged = false;
+    for (std::size_t i = 0; i < exits_.size(); ++i) {
+      ExitRoute& route = exits_[i];
+      if (route.queue.empty() || !route.active) continue;
+      if (!force && now - route.oldest < config_.flush_interval) continue;
+      const std::uint64_t budget = force ? frame_cap : route.credits;
+      const std::size_t limit = static_cast<std::size_t>(
+          std::min<std::uint64_t>(budget, route.queue.size()));
+      if (limit == 0) continue;
+      if (!force) add(counters_->deadline_flushes);
+      stage_route(i, limit);
+      staged = true;
+    }
+    sent += send_groups();
+    // A deadline flush is one frame per channel: what credit held back
+    // waits for the next grant.
+    if (!force) break;
   }
-  return send_groups();
+  return sent;
 }
 
 void DataPlane::on_credit(const CreditPayload& credit) {

@@ -4,7 +4,10 @@
 //
 // Exit gateways offer() messages into bounded per-route queues; flush()
 // coalesces everything pending toward a peer into one BATCH frame per
-// channel, triggered by queue depth (batch_max) or age (flush_interval).
+// channel, triggered by queue depth (batch_max) or by the next flush()
+// call (the node runtime's dispatch boundary) once the oldest message is
+// flush_interval old — with the default zero interval, every boundary
+// sends what the dispatch round before it queued.
 // A per-route credit window caps how many messages may be on the wire
 // ahead of the consuming entry gateway: the entry side grants credits
 // back (CREDIT frames) as it injects, so a slow node backpressures the
@@ -22,8 +25,9 @@
 // thread (offer/flush from the launcher boundary hook, note_injected from
 // the inbox drain, or the single-threaded stop() drain). The serve thread
 // only tops up credits (on_credit) and records HELLO versions
-// (set_peer_version) under the internal mutex. One writer per channel is
-// exactly what keeps the shm-ring transport SPSC.
+// (set_peer_version) under the internal mutex, then wakes the executive
+// to do the writing. One writer per channel is exactly what keeps the
+// shm-ring transport SPSC.
 #pragma once
 
 #include <cstdint>
@@ -48,9 +52,13 @@ namespace rtcf::dist {
 struct DataPlaneConfig {
   /// Queue depth at which a route flushes immediately (size flush).
   std::size_t batch_max = 32;
-  /// Maximum age of a queued message before the next flush(false) sends
-  /// it (deadline flush) — the latency bound batching may add.
-  rtsj::RelativeTime flush_interval = rtsj::RelativeTime::microseconds(200);
+  /// Age a route's oldest queued message must reach before flush(false)
+  /// sends the route (deadline flush). Zero, the default, sends whatever
+  /// is queued at every flush(false) — the dispatch boundary after each
+  /// round — so batching coalesces what one round produced and adds no
+  /// wait. A nonzero interval holds a trickle back to build larger
+  /// frames, adding up to this much latency.
+  rtsj::RelativeTime flush_interval = rtsj::RelativeTime::zero();
   /// Initial per-route sender credit: messages allowed on the wire ahead
   /// of the entry side's grants. Zero disables sending entirely (useful
   /// only in tests).
@@ -111,12 +119,15 @@ class DataPlane {
   /// the channel (a size-triggered flush).
   Offer offer(std::size_t route, const comm::Message& message);
 
-  /// Flushes pending queues (executive thread): every route whose oldest
-  /// queued message is older than flush_interval — or every route with
-  /// anything pending when `force` — sends up to its credit balance
-  /// (`force` ignores credits: the stop() drain must empty the node).
-  /// Routes flushing toward the same channel share one BATCH frame.
-  /// Returns the number of messages put on the wire.
+  /// Flushes pending queues (executive thread). Without `force`, every
+  /// route whose oldest queued message is at least flush_interval old
+  /// sends up to its credit balance; routes flushing toward the same
+  /// channel share one BATCH frame. With `force` (the stop() drain, the
+  /// PREPARE barrier) every open route is emptied regardless of credits,
+  /// in frames of at most max(1, credit_window) messages per route — the
+  /// largest frame a credit-bound flush builds, so a backlog never
+  /// outgrows the transport (an shm ring refuses a record larger than
+  /// itself). Returns the number of messages put on the wire.
   std::size_t flush(bool force);
 
   /// Credits granted by a peer's entry side (serve thread; no sends).

@@ -277,9 +277,11 @@ void NodeRuntime::boundary() {
     }
   }
   drain_inbox();
-  // Deadline flushes ride the dispatch boundary: this is the only place
-  // (besides offer itself and the stop drain) that writes data channels,
-  // which keeps every transport single-writer.
+  // Flushes ride the dispatch boundary: with the default zero
+  // flush_interval this sends everything the round before it queued (up
+  // to credit). Besides offer itself and the stop drain this is the only
+  // place that writes data channels, which keeps every transport
+  // single-writer.
   dataplane_.flush(/*force=*/false);
   watch_governor();
 }
@@ -332,12 +334,14 @@ void NodeRuntime::apply_routes(const std::vector<GatewayRoute>& routes) {
   }
 }
 
-void NodeRuntime::drain_inbox() {
+void NodeRuntime::drain_inbox(InboxItem* unrouted) {
   std::deque<InboxItem> batch;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     batch.swap(inbox_);
   }
+  BatchPayload held;
+  std::size_t held_messages = 0;
   for (InboxItem& item : batch) {
     // Deferred BATCH: decode in place, injecting straight out of the
     // receive buffer. The payload was fully validated at enqueue time,
@@ -350,6 +354,23 @@ void NodeRuntime::drain_inbox() {
       const auto it = entries_.find(
           {std::string(route.client), std::string(route.port)});
       if (it == entries_.end() || it->second.content == nullptr) {
+        if (unrouted != nullptr) {
+          BatchRoute* into = nullptr;
+          for (BatchRoute& r : held.routes) {
+            if (r.client == route.client && r.port == route.port) into = &r;
+          }
+          if (into == nullptr) {
+            held.routes.push_back(
+                {std::string(route.client), std::string(route.port), {}});
+            into = &held.routes.back();
+          }
+          for (std::uint32_t i = 0; i < route.messages; ++i) {
+            view.next_message(message);
+            into->messages.push_back(message);
+          }
+          held_messages += route.messages;
+          continue;
+        }
         const std::lock_guard<std::mutex> lock(mutex_);
         entry_drops_ += route.messages;
         for (std::uint32_t i = 0; i < route.messages; ++i) {
@@ -369,6 +390,10 @@ void NodeRuntime::drain_inbox() {
     // replacement buffers come from.
     dataplane_.pool().release(std::move(item.batch));
   }
+  if (unrouted != nullptr && held_messages != 0) {
+    unrouted->batch = make_batch(held).payload;
+    unrouted->batch_messages = held_messages;
+  }
 }
 
 void NodeRuntime::handle_peer_frame(const std::string& peer,
@@ -386,12 +411,16 @@ void NodeRuntime::handle_peer_frame(const std::string& peer,
         // class so the channel's capacity-reuse keeps working.
         frame.payload = dataplane_.pool().acquire(item.batch.size());
         frame.payload.clear();
-        const std::lock_guard<std::mutex> lock(mutex_);
-        inbox_.push_back(std::move(item));
+        {
+          const std::lock_guard<std::mutex> lock(mutex_);
+          inbox_.push_back(std::move(item));
+        }
+        launcher_->wake();  // the executive drains the inbox now
         break;
       }
       case FrameType::Credit:
         dataplane_.on_credit(parse_credit(frame));
+        launcher_->wake();  // messages the grant unblocks are sent now
         break;
       case FrameType::Hello:
         handle_peer_hello(peer, parse_hello_info(frame));
@@ -420,9 +449,12 @@ void NodeRuntime::handle_peer_hello(const std::string& peer,
   if (node_ < peer) {
     auto ring = comm::ShmRingChannel::create(token, options_.shm_capacity);
     if (ring != nullptr) {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      shm_links_[peer] = std::move(ring);
-      routes_dirty_ = true;
+      {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        shm_links_[peer] = std::move(ring);
+        routes_dirty_ = true;
+      }
+      launcher_->wake();  // the executive re-routes onto the ring now
     }
   } else if (!try_shm_attach(peer)) {
     pending_shm_attach_.push_back(peer);
@@ -439,9 +471,12 @@ std::string NodeRuntime::shm_token_for(const std::string& peer) const {
 bool NodeRuntime::try_shm_attach(const std::string& peer) {
   auto ring = comm::ShmRingChannel::attach(shm_token_for(peer));
   if (ring == nullptr) return false;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  shm_links_[peer] = std::move(ring);
-  routes_dirty_ = true;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    shm_links_[peer] = std::move(ring);
+    routes_dirty_ = true;
+  }
+  launcher_->wake();  // the executive re-routes onto the ring now
   return true;
 }
 
@@ -605,6 +640,7 @@ void NodeRuntime::handle_prepare_reload(const comm::Frame& frame) {
     fail("slice rejected:\n" + report.to_string());
     return;
   }
+  launcher_->wake();  // park at the next boundary, not after the idle wait
   if (!mode_manager_->wait_prepared(options_.quiesce_timeout)) {
     mode_manager_->abort_prepared();
     fail("quiescence timeout: executive did not park in time");
@@ -612,14 +648,14 @@ void NodeRuntime::handle_prepare_reload(const comm::Frame& frame) {
   }
   // Every worker is parked, so no exit can enqueue again before the
   // decision: force-flush the queued tail now, before the vote. The
-  // boundary's deadline flush may have left messages younger than the
-  // flush age queued when the executive parked; two-phase ordering turns
-  // this flush into a cluster-wide barrier — no peer can commit (and
-  // retire its old entry table) until every node has voted — so
-  // everything flushed here is drained through the old entries at commit
-  // time and a committed re-shard loses nothing. Single-writer holds: the
-  // parked executive cannot touch the transports (same argument as the
-  // stop() drain).
+  // boundary's flush may have left messages queued when the executive
+  // parked (held back by credit, or younger than a nonzero
+  // flush_interval); two-phase ordering turns this flush into a
+  // cluster-wide barrier — no peer can commit (and retire its old entry
+  // table) until every node has voted — so everything flushed here is
+  // drained through the old entries at commit time and a committed
+  // re-shard loses nothing. Single-writer holds: the parked executive
+  // cannot touch the transports (same argument as the stop() drain).
   dataplane_.flush(/*force=*/true);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -667,6 +703,7 @@ void NodeRuntime::handle_prepare_mode(const comm::Frame& frame) {
     fail("unknown mode '" + payload.mode + "' (or a transition is pending)");
     return;
   }
+  launcher_->wake();  // park at the next boundary, not after the idle wait
   if (!mode_manager_->wait_prepared(options_.quiesce_timeout)) {
     mode_manager_->abort_prepared();
     fail("quiescence timeout: executive did not park in time");
@@ -719,7 +756,10 @@ void NodeRuntime::handle_decision(const comm::Frame& frame) {
     // inbox) when the decision arrives; committing first would retire
     // the old entry table and count that in-flight tail as entry drops.
     // The executive is parked at the rendezvous, so this thread owns the
-    // inbox and the entries exactly as the stop() drain does.
+    // inbox and the entries exactly as the stop() drain does. A peer that
+    // received its COMMIT first may already send under the new wiring: a
+    // route this node does not serve yet is held back, not dropped, and
+    // re-queued together with the new route table below.
     {
       comm::Frame data;
       std::vector<std::pair<std::string, std::shared_ptr<comm::Channel>>>
@@ -739,24 +779,38 @@ void NodeRuntime::handle_decision(const comm::Frame& frame) {
         }
       }
     }
-    drain_inbox();
+    InboxItem early;
+    drain_inbox(&early);
+    std::vector<GatewayRoute> previous;
+    if (is_reload) {
+      // Adopt the staged table before the workers resume — even when it
+      // is empty: a reload that removes the last cross-node binding must
+      // clear the old routes and entry map, or late BATCH frames would be
+      // injected into retired gateways. The executive's first boundary
+      // after the commit re-routes before it drains or flushes, so no
+      // message of the new plan is sent down an old route.
+      const std::lock_guard<std::mutex> lock(mutex_);
+      previous = std::move(routes_);
+      routes_ = std::move(staged_routes_);
+      routes_dirty_ = true;
+    }
     const bool applied = mode_manager_->commit_prepared();
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       staged_ = false;
-      if (applied && is_reload) {
-        // Adopt the staged table even when it is empty: a reload that
-        // removes the last cross-node binding must clear the old routes
-        // and entry map, or late BATCH frames would be injected into
-        // retired gateways.
-        routes_ = std::move(staged_routes_);
-        routes_dirty_ = true;
-      }
+      // A refused commit keeps the old table. No worker has passed a
+      // boundary since the vote (abort_prepared below releases them), so
+      // none saw the staged one.
+      if (is_reload && !applied) routes_ = std::move(previous);
       staged_routes_.clear();
+      // Ahead of anything read since; the boundary that drains it applies
+      // routes_dirty_ first. Without a commit it is dropped and counted.
+      if (early.batch_messages != 0) inbox_.push_front(std::move(early));
       // A committed transition answered whatever overload triggered a
       // demote request; allow a future escalation to report again.
       if (applied) demote_sent_.store(false, std::memory_order_relaxed);
     }
+    launcher_->wake();  // re-route and drain under the new table now
     if (applied && executive_done_.load()) {
       // No executive thread to run the boundary hook; apply routes here
       // (single-threaded: the launcher run is over).

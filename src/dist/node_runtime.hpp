@@ -13,13 +13,17 @@
 //     COMMIT by applying the staged transition on the caller side of the
 //     rendezvous, ABORT by releasing the workers with the old epoch
 //     intact — and the peer data channels, queueing BATCH frames into an
-//     inbox;
+//     inbox. Every hand-off to the executive (a queued BATCH, a CREDIT
+//     top-up, a staged PREPARE, a linked shm ring) wakes the launcher, so
+//     the executive acts on it at once instead of after its idle wait;
+//     the serve thread itself still writes no data channel;
 //   * the launcher's *boundary hook* drains that inbox on the executive
 //     thread at every dispatch boundary, injecting remote messages
 //     through the entry gateways' ordinary ports (so remote delivery
 //     rides the same buffer/activation/monitor path as local traffic,
 //     and never races a swap — the hook does not run while the worker is
-//     parked at a rendezvous);
+//     parked at a rendezvous), then flushes what the dispatch round
+//     before it queued toward peers;
 //   * sustained overload escalating the governor to `demote_at` is
 //     reported to the coordinator as a DEMOTE_REQUEST instead of being
 //     demoted locally — the cluster form of the governor hook, where one
@@ -61,7 +65,10 @@ class NodeRuntime {
   struct Options {
     /// Wall-clock horizon of one start() executive run.
     rtsj::RelativeTime run_duration = rtsj::RelativeTime::milliseconds(500);
-    /// Serve-loop and launcher poll cadence.
+    /// Serve-loop poll cadence, and the bound on one idle wait of the
+    /// executive. The serve thread wakes the executive whenever it hands
+    /// it work, so the executive waits this long only when nothing
+    /// arrives.
     rtsj::RelativeTime poll_interval = rtsj::RelativeTime::microseconds(200);
     /// PREPARE: how long to wait for the local executive to park before
     /// voting PREPARE_FAIL (the coordinator sees a straggler either way).
@@ -210,7 +217,12 @@ class NodeRuntime {
   /// map). Single-threaded by construction: at build time, or from the
   /// boundary hook on the executive thread.
   void apply_routes(const std::vector<GatewayRoute>& routes);
-  void drain_inbox();
+  struct InboxItem;
+  /// Injects every inbox BATCH through the entry table. A route with no
+  /// entry is counted as an entry drop, unless `unrouted` is given (the
+  /// drain before a COMMIT): its messages are then re-encoded into that
+  /// item, for the drain under the new entry table.
+  void drain_inbox(InboxItem* unrouted = nullptr);
   void watch_governor();
 
   std::string node_;

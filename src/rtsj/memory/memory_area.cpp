@@ -51,8 +51,14 @@ std::size_t MemoryArea::memory_remaining() const noexcept {
   return arena_.remaining();
 }
 
+std::unique_lock<std::mutex> MemoryArea::lock_if_shared() {
+  if (kind_ == AreaKind::Scoped) return std::unique_lock<std::mutex>();
+  return std::unique_lock<std::mutex>(mutex_);
+}
+
 void* MemoryArea::allocate(std::size_t bytes, std::size_t align) {
   check_allocation();
+  const std::unique_lock<std::mutex> lock = lock_if_shared();
   void* p = arena_.allocate(bytes, align);
   if (p == nullptr) {
     throw OutOfMemoryError("memory area '" + name_ + "' exhausted (" +
@@ -101,8 +107,10 @@ void MemoryArea::execute_in_area(const std::function<void()>& logic) {
 void MemoryArea::on_enter(ThreadContext&) {}
 void MemoryArea::on_exit(ThreadContext&) {}
 
-void MemoryArea::register_finalizer(void* obj, void (*fn)(void*)) {
-  finalizers_.push_back(Finalizer{obj, fn});
+void MemoryArea::register_object(void* obj, void (*fn)(void*)) {
+  const std::unique_lock<std::mutex> lock = lock_if_shared();
+  if (fn != nullptr) finalizers_.push_back(Finalizer{obj, fn});
+  ++object_count_;
 }
 
 void MemoryArea::reclaim() {
@@ -133,7 +141,7 @@ void HeapMemory::check_allocation() const {
 
 void HeapMemory::reset_for_testing() {
   reclaim();
-  allocations_ = 0;
+  allocations_.store(0, std::memory_order_relaxed);
 }
 
 // ------------------------------------------------------------ Immortal

@@ -18,9 +18,11 @@
 //     throws MemoryAccessError.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -56,7 +58,9 @@ class MemoryArea {
 
   /// Raw allocation in this area. Throws OutOfMemoryError when a fixed-size
   /// area is exhausted; throws MemoryAccessError when a no-heap thread
-  /// allocates on the heap.
+  /// allocates on the heap. Heap and immortal allocation is serialized:
+  /// every node runtime of a process allocates there, from its own
+  /// threads, when it commits a reload.
   void* allocate(std::size_t bytes, std::size_t align);
 
   /// Allocates and constructs a T in this area (RTSJ newInstance). The
@@ -65,10 +69,11 @@ class MemoryArea {
   T* make(Args&&... args) {
     void* storage = allocate(sizeof(T), alignof(T));
     T* obj = new (storage) T(std::forward<Args>(args)...);
+    void (*finalizer)(void*) = nullptr;
     if constexpr (!std::is_trivially_destructible_v<T>) {
-      register_finalizer(obj, [](void* p) { static_cast<T*>(p)->~T(); });
+      finalizer = [](void* p) { static_cast<T*>(p)->~T(); };
     }
-    ++object_count_;
+    register_object(obj, finalizer);
     return obj;
   }
 
@@ -98,7 +103,9 @@ class MemoryArea {
   /// Subclass veto on allocation (heap applies the NHRT barrier).
   virtual void check_allocation() const {}
 
-  void register_finalizer(void* obj, void (*fn)(void*));
+  /// Counts one make<T>() object and records its finalizer (`fn` may be
+  /// null for trivially destructible objects); serialized like allocate().
+  void register_object(void* obj, void (*fn)(void*));
   /// Runs finalizers in reverse construction order and rewinds the arena.
   void reclaim();
 
@@ -111,10 +118,15 @@ class MemoryArea {
     void (*fn)(void*);
   };
 
+  /// Holds mutex_ for the process-wide areas (heap, immortal); scoped
+  /// areas return an empty lock.
+  std::unique_lock<std::mutex> lock_if_shared();
+
   AreaKind kind_;
   std::string name_;
   std::size_t declared_size_;
   std::vector<Finalizer> finalizers_;
+  std::mutex mutex_;
 };
 
 /// The garbage-collected heap, simulated.
@@ -129,7 +141,9 @@ class HeapMemory final : public MemoryArea {
   static HeapMemory& instance();
 
   /// Cumulative number of allocations (GC pressure metric).
-  std::uint64_t allocation_count() const noexcept { return allocations_; }
+  std::uint64_t allocation_count() const noexcept {
+    return allocations_.load(std::memory_order_relaxed);
+  }
 
   /// Testing hook: runs finalizers and rewinds the heap. Must not be called
   /// while heap objects are still referenced.
@@ -141,8 +155,10 @@ class HeapMemory final : public MemoryArea {
  private:
   HeapMemory();
   friend class MemoryArea;
-  std::uint64_t allocations_ = 0;
-  void count_allocation() noexcept { ++allocations_; }
+  std::atomic<std::uint64_t> allocations_{0};
+  void count_allocation() noexcept {
+    allocations_.fetch_add(1, std::memory_order_relaxed);
+  }
 };
 
 /// ImmortalMemory: never reclaimed, shared by all threads, always a legal

@@ -294,10 +294,11 @@ void Launcher::run_single(const Options& options) {
         std::this_thread::sleep_for(
             std::chrono::nanoseconds((next - clock.now()).nanos()));
       } else {
-        // Sleep in poll_interval chunks so externally requested
+        // Wait in poll_interval chunks so externally requested
         // transitions keep their dispatch-boundary latency bound even
-        // while the executive is idle.
+        // while the executive is idle; wake() ends a chunk early.
         while (clock.now() < next) {
+          const std::uint64_t seen = wake_generation();
           mm->poll(0);
           if (mm->plan_epoch() != seen_epoch) {
             sync_mode();
@@ -308,7 +309,7 @@ void Launcher::run_single(const Options& options) {
           const auto remaining =
               std::chrono::nanoseconds((next - clock.now()).nanos());
           if (remaining.count() > 0) {
-            std::this_thread::sleep_for(std::min(poll, remaining));
+            idle_wait(seen, std::min(poll, remaining));
           }
         }
       }
@@ -459,6 +460,7 @@ void Launcher::worker_loop(std::size_t worker, const Options& options,
     // activations destined for this partition (and transition requests).
     bool replanned = false;
     while (clock.now() < next) {
+      const std::uint64_t seen = wake_generation();
       if (mm != nullptr) {
         mm->poll(worker);
         if (mm->plan_epoch() != seen_epoch) {
@@ -473,7 +475,7 @@ void Launcher::worker_loop(std::size_t worker, const Options& options,
       const auto remaining =
           std::chrono::nanoseconds((next - clock.now()).nanos());
       if (remaining.count() > 0) {
-        std::this_thread::sleep_for(std::min(poll, remaining));
+        idle_wait(seen, std::min(poll, remaining));
       }
     }
     if (replanned) continue;
@@ -484,6 +486,21 @@ void Launcher::worker_loop(std::size_t worker, const Options& options,
       dispatch_entry(*entry, worker, /*partitioned=*/true);
     }
   }
+}
+
+void Launcher::wake() {
+  {
+    const std::lock_guard<std::mutex> lock(wake_mutex_);
+    wake_generation_.fetch_add(1, std::memory_order_release);
+  }
+  wake_cv_.notify_all();
+}
+
+void Launcher::idle_wait(std::uint64_t seen, std::chrono::nanoseconds timeout) {
+  std::unique_lock<std::mutex> lock(wake_mutex_);
+  wake_cv_.wait_for(lock, timeout, [&] {
+    return wake_generation_.load(std::memory_order_relaxed) != seen;
+  });
 }
 
 const Launcher::ComponentStats& Launcher::stats(

@@ -23,8 +23,11 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <deque>
 #include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -56,9 +59,11 @@ class Launcher {
     /// worker's highest-priority component (rtsj::to_os_priority). Silently
     /// degraded to SCHED_OTHER without privileges.
     bool apply_os_priorities = false;
-    /// How long a waiting worker sleeps between polls for cross-worker
-    /// activations (partitioned + !busy_wait only; also the mode-manager
-    /// poll cadence of a sleeping single-core executive).
+    /// Bound on one idle wait: how long a waiting worker sleeps before it
+    /// polls again for cross-worker activations (partitioned + !busy_wait
+    /// only), and the mode-manager and boundary-hook cadence of a waiting
+    /// single-core executive. It bounds only waits nobody signals: wake()
+    /// ends a wait at once.
     rtsj::RelativeTime poll_interval = rtsj::RelativeTime::microseconds(200);
     /// Drives mode transitions and live reloads (src/reconfig): every
     /// worker polls the manager at each dispatch boundary — parking there
@@ -75,7 +80,9 @@ class Launcher {
     /// boundary, next to the mode-manager poll and never mid-release — the
     /// distribution layer's hook for injecting remote gateway messages
     /// from an executive thread. Not called while the worker is parked at
-    /// a transition rendezvous, so injections never race a swap.
+    /// a transition rendezvous, so injections never race a swap. A thread
+    /// that hands the hook work calls wake() so it runs now rather than
+    /// after the idle wait.
     std::function<void()> boundary_hook;
   };
 
@@ -103,6 +110,13 @@ class Launcher {
   const std::map<std::string, ComponentStats>& all_stats() const noexcept {
     return stats_;
   }
+
+  /// Ends the executive's current idle wait (any thread): every waiting
+  /// worker runs its dispatch boundary — mode-manager poll, boundary hook,
+  /// activation pump — now instead of after poll_interval. A wake that
+  /// lands while a worker is busy is not lost: that worker's next idle
+  /// wait returns at once. No worker consumes a wake meant for another.
+  void wake();
 
   /// How many workers obtained a real-time OS priority in the last run
   /// (0 on hosts without the privilege — informational).
@@ -170,6 +184,13 @@ class Launcher {
                    rtsj::AbsoluteTime start, rtsj::AbsoluteTime end);
   void dispatch_entry(PeriodicEntry& entry, std::size_t worker,
                       bool partitioned);
+  /// The wake generation, read by a worker before it looks for work.
+  std::uint64_t wake_generation() const noexcept {
+    return wake_generation_.load(std::memory_order_acquire);
+  }
+  /// Idle wait: returns after `timeout`, or once wake() has moved the
+  /// generation past `seen` (at once if it already has).
+  void idle_wait(std::uint64_t seen, std::chrono::nanoseconds timeout);
 
   soleil::Application& app_;
   /// Deque: live reload appends entries while parked workers hold stable
@@ -177,6 +198,13 @@ class Launcher {
   std::deque<PeriodicEntry> periodics_;
   std::map<std::string, ComponentStats> stats_;
   std::atomic<std::size_t> os_grants_{0};
+  /// Idle-wait eventcount. wake() bumps the generation under wake_mutex_
+  /// and notifies; a worker waits only while the generation still equals
+  /// the one it read before its last boundary, so a wake between that
+  /// boundary and the wait ends the wait instead of being lost.
+  std::mutex wake_mutex_;
+  std::condition_variable wake_cv_;
+  std::atomic<std::uint64_t> wake_generation_{0};
 };
 
 }  // namespace rtcf::runtime

@@ -12,6 +12,8 @@
 #include <unistd.h>
 
 #include "comm/channel.hpp"
+#include "comm/shm_ring.hpp"
+#include "dist/batch_view.hpp"
 #include "dist/cluster_sim.hpp"
 #include "dist/dataplane.hpp"
 #include "dist/node_runtime.hpp"
@@ -161,6 +163,96 @@ TEST(DataPlaneTest, DeadlineFlushSendsAgedPartialBatches) {
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(parse_batch(frames[0]).routes[0].messages.size(), 2u);
   EXPECT_EQ(plane.stats().deadline_flushes, 1u);
+}
+
+TEST(DataPlaneTest, DefaultConfigFlushesAtTheNextBoundary) {
+  // The default flush_interval is zero: a trickle below batch_max waits
+  // for no deadline, only for the next flush(false) — the node's dispatch
+  // boundary right after the round that queued it.
+  DataPlane plane;
+  auto [near, far] = comm::LoopbackChannel::make_pair();
+  const std::size_t route = plane.add_route("Producer", "out", near, "beta");
+  EXPECT_EQ(plane.offer(route, make_message(0)), DataPlane::Offer::Queued);
+  EXPECT_EQ(plane.flush(false), 1u);
+  const auto frames = drain(*far);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(parse_batch(frames[0]).routes[0].messages[0].sequence, 0u);
+  const auto stats = plane.stats();
+  EXPECT_EQ(stats.deadline_flushes, 1u);
+  EXPECT_EQ(stats.size_flushes, 0u);
+  EXPECT_EQ(stats.queued, 0u);
+}
+
+TEST(DataPlaneTest, ForceFlushSendsFramesTheShmRingAccepts) {
+  // 4 routes x 6000 queued messages encode to about twice the 1 MiB ring.
+  // One frame holding all of them can never fit; the force flush (stop()
+  // drain, PREPARE barrier) must split the backlog, not lose it.
+  constexpr std::size_t kRoutes = 4;
+  constexpr std::uint64_t kPerRoute = 6000;
+  const std::string name =
+      "/rtcf-dataplane-test-force." + std::to_string(::getpid());
+  std::shared_ptr<comm::Channel> ring =
+      comm::ShmRingChannel::create(name, std::size_t{1} << 20);
+  ASSERT_NE(ring, nullptr);
+  auto reader = comm::ShmRingChannel::attach(name);
+  ASSERT_NE(reader, nullptr);
+
+  DataPlaneConfig config;
+  config.batch_max = 8192;  // queue everything: no size flush
+  config.route_queue_cap = 8192;
+  DataPlane plane(config);
+  std::size_t routes[kRoutes];
+  for (std::size_t r = 0; r < kRoutes; ++r) {
+    routes[r] = plane.add_route("P" + std::to_string(r), "out", ring, "beta");
+  }
+  for (std::uint64_t i = 0; i < kPerRoute; ++i) {
+    for (std::size_t r = 0; r < kRoutes; ++r) {
+      ASSERT_EQ(plane.offer(routes[r], make_message(i)),
+                DataPlane::Offer::Queued);
+    }
+  }
+
+  // The reader drains the ring while the flush fills it, checking that
+  // every route's sequence arrives whole and in order.
+  std::uint64_t next[kRoutes] = {};
+  bool in_order = true;
+  std::thread drainer([&] {
+    std::uint64_t received = 0;
+    comm::Frame frame;
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (received < kRoutes * kPerRoute &&
+           std::chrono::steady_clock::now() < give_up) {
+      if (!reader->receive(frame, rtsj::RelativeTime::milliseconds(10))) {
+        continue;
+      }
+      BatchView view(frame.payload);
+      BatchView::Route route;
+      comm::Message message;
+      while (view.next_route(route)) {
+        const std::size_t r = static_cast<std::size_t>(route.client[1] - '0');
+        for (std::uint32_t i = 0; i < route.messages; ++i) {
+          view.next_message(message);
+          in_order = in_order && message.sequence == next[r];
+          ++next[r];
+          ++received;
+        }
+      }
+    }
+  });
+  const std::size_t sent = plane.flush(true);
+  drainer.join();
+
+  EXPECT_EQ(sent, kRoutes * kPerRoute);
+  EXPECT_TRUE(in_order);
+  for (std::size_t r = 0; r < kRoutes; ++r) {
+    EXPECT_EQ(next[r], kPerRoute) << "route " << r;
+  }
+  const auto stats = plane.stats();
+  EXPECT_EQ(stats.send_failures, 0u);
+  EXPECT_EQ(stats.sent, kRoutes * kPerRoute);
+  EXPECT_EQ(stats.queued, 0u);
+  EXPECT_GT(stats.batches, 1u) << "the backlog needs several frames";
 }
 
 TEST(DataPlaneTest, CreditExhaustionBackpressuresUntilReplenished) {

@@ -2,6 +2,9 @@
 // length-prefixed framing (`ctest -L dist`).
 #include <gtest/gtest.h>
 
+#include <time.h>
+
+#include <cstdint>
 #include <thread>
 
 #include "comm/channel.hpp"
@@ -14,6 +17,13 @@ Frame make_frame(std::uint16_t type, std::initializer_list<std::uint8_t> b) {
   frame.type = type;
   frame.payload.assign(b);
   return frame;
+}
+
+/// Microseconds on `clock` (CLOCK_THREAD_CPUTIME_ID: this thread's CPU).
+std::int64_t now_us(clockid_t clock) {
+  timespec ts{};
+  ::clock_gettime(clock, &ts);
+  return std::int64_t{ts.tv_sec} * 1000000 + ts.tv_nsec / 1000;
 }
 
 TEST(LoopbackChannelTest, FramesCrossInOrderBothDirections) {
@@ -75,6 +85,28 @@ TEST(TcpChannelTest, ListeningReceiveHonorsItsTimeoutWithNoPeer) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
                 .count(),
             2000);
+}
+
+TEST(TcpChannelTest, SubMillisecondWaitsSleepInsteadOfSpinning) {
+  auto server = TcpChannel::listen(0);
+  ASSERT_NE(server, nullptr);
+  auto client = TcpChannel::connect("127.0.0.1", server->bound_port());
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(server->accept_one());
+
+  Frame frame;
+  const std::int64_t wall_start = now_us(CLOCK_MONOTONIC);
+  const std::int64_t cpu_start = now_us(CLOCK_THREAD_CPUTIME_ID);
+  // Nothing is ever sent: each receive waits out its 900 us. A wait
+  // truncated to whole milliseconds would poll with a zero timeout and
+  // burn the whole interval on the CPU.
+  for (int i = 0; i < 50; ++i) {
+    EXPECT_FALSE(client->receive(frame, rtsj::RelativeTime::microseconds(900)));
+  }
+  const std::int64_t cpu_us = now_us(CLOCK_THREAD_CPUTIME_ID) - cpu_start;
+  const std::int64_t wall_us = now_us(CLOCK_MONOTONIC) - wall_start;
+  EXPECT_GE(wall_us, 50 * 900);
+  EXPECT_LT(cpu_us, wall_us / 2) << "thread CPU time against wall time";
 }
 
 TEST(TcpChannelTest, FramesCrossTheSocketWithLengthPrefixes) {

@@ -341,6 +341,7 @@ TEST(DistReconfigTest, CoordinatorCrashMidDecisionDivergesThenResyncs) {
   };
   cluster.coordinator->set_fault_hooks(&hooks);
   const Architecture target = target_arch();
+  const std::uint64_t alpha_epoch = cluster.alpha->mode_manager().plan_epoch();
   const auto crashed = cluster.coordinator->coordinate_reload(target);
   cluster.coordinator->set_fault_hooks(nullptr);
   EXPECT_FALSE(crashed.committed);
@@ -349,7 +350,16 @@ TEST(DistReconfigTest, CoordinatorCrashMidDecisionDivergesThenResyncs) {
   EXPECT_EQ(decision_frames, 2);
 
   // alpha applies the decision it received; beta's presumed-abort timer
-  // releases its executive.
+  // releases its executive. alpha's serve thread rewrites the assembly at
+  // commit, so read it only after the epoch moved: plan_epoch() is an
+  // acquire load of the store that publishes the commit.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (cluster.alpha->mode_manager().plan_epoch() == alpha_epoch &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_GT(cluster.alpha->mode_manager().plan_epoch(), alpha_epoch);
   std::this_thread::sleep_for(std::chrono::milliseconds(700));
   EXPECT_NE(cluster.alpha->application().assembly().find("Watchdog"),
             nullptr);

@@ -282,6 +282,82 @@ TEST(MembershipTest, JoinDrainLeaveRejoinWithZeroLossAudit) {
       << " inbox=" << gamma.inbox_depth();
 }
 
+TEST(MembershipTest, TrafficThatBeatsTheJoinersCommitIsHeldNotDropped) {
+  // The join re-shard moves Sink from beta onto gamma. gamma's COMMIT is
+  // held back 40 ms, so alpha commits first and its producer (5 ms
+  // period) sends under the new wiring while gamma is still prepared and
+  // has no entry for the route. Those messages must reach gamma's new
+  // Sink after its commit: none may be dropped at gamma, and none may go
+  // down the old route to beta, which retired its entry at its commit.
+  const Architecture global = pipeline_arch();
+  const NodeMap map = two_node_map();
+  NodeRuntime::Options options;
+  options.run_duration = rtsj::RelativeTime::milliseconds(800);
+  NodeRuntime alpha(global, map, "alpha", options);
+  NodeRuntime beta(global, map, "beta", options);
+  NodeRuntime gamma(global, candidate_map(), "gamma", options);
+
+  ReconfigCoordinator::Options copts;
+  copts.prepare_timeout = rtsj::RelativeTime::milliseconds(1500);
+  ReconfigCoordinator coordinator(map, copts);
+  auto [a_node, a_coord] = comm::LoopbackChannel::make_pair();
+  auto [b_node, b_coord] = comm::LoopbackChannel::make_pair();
+  auto [g_node, g_coord] = comm::LoopbackChannel::make_pair();
+  alpha.attach_control(a_node);
+  beta.attach_control(b_node);
+  gamma.attach_control(g_node);
+  coordinator.attach("alpha", a_coord, global);
+  coordinator.attach("beta", b_coord, global);
+  coordinator.stage_candidate("gamma", g_coord);
+  auto [ab, ba] = comm::LoopbackChannel::make_pair();
+  alpha.connect_peer("beta", ab);
+  beta.connect_peer("alpha", ba);
+  auto [ag, ga] = comm::LoopbackChannel::make_pair();
+  alpha.connect_peer("gamma", ag);
+  gamma.connect_peer("alpha", ga);
+  auto [bg, gb] = comm::LoopbackChannel::make_pair();
+  beta.connect_peer("gamma", bg);
+  gamma.connect_peer("beta", gb);
+
+  alpha.start();
+  beta.start();
+  gamma.start();
+  sleep_ms(60);
+
+  // Decisions go out in map order: alpha, beta, then — late — gamma.
+  ReconfigCoordinator::FaultHooks hooks;
+  hooks.before_decision = [](const std::string& node, std::uint64_t, bool) {
+    if (node == "gamma") sleep_ms(40);
+    return true;
+  };
+  coordinator.set_fault_hooks(&hooks);
+  const auto admitted =
+      coordinator.admit_node("gamma", global, three_node_map("gamma"));
+  coordinator.set_fault_hooks(nullptr);
+  ASSERT_TRUE(admitted.committed) << admitted.reason;
+  sleep_ms(60);
+  const auto quiesced = coordinator.coordinate_transition("Quiesce");
+  EXPECT_TRUE(quiesced.committed) << quiesced.reason;
+  sleep_ms(60);
+  alpha.stop();
+  beta.stop();
+  gamma.stop();
+
+  const auto* producer =
+      dynamic_cast<const PulseImpl*>(alpha.application().content("Producer"));
+  const auto* sink_beta =
+      dynamic_cast<const DrainImpl*>(beta.application().content("Sink"));
+  const auto* sink_gamma =
+      dynamic_cast<const DrainImpl*>(gamma.application().content("Sink"));
+  ASSERT_NE(producer, nullptr);
+  ASSERT_NE(sink_beta, nullptr);
+  ASSERT_NE(sink_gamma, nullptr);
+  EXPECT_GT(sink_gamma->received(), 0u);
+  EXPECT_EQ(beta.gateway_stats().entry_dropped, 0u);
+  EXPECT_EQ(gamma.gateway_stats().entry_dropped, 0u);
+  EXPECT_EQ(producer->sent(), sink_beta->received() + sink_gamma->received());
+}
+
 /// Two nodes, an active coordinator with fault hooks, and a standby
 /// shadowing the decision log on a feed channel. The standby shares the
 /// coordinator-side channel handles — exactly what a promotion owns.
