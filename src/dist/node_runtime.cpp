@@ -8,6 +8,7 @@
 #include "comm/shm_ring.hpp"
 #include "dist/batch_view.hpp"
 #include "dist/plan_codec.hpp"
+#include "rtsj/threads/os_sched.hpp"
 #include "validate/validator.hpp"
 
 namespace rtcf::dist {
@@ -206,6 +207,9 @@ void NodeRuntime::executive_loop() {
 }
 
 void NodeRuntime::serve_loop() {
+  // The idle sleep below is the cadence every frame that finds the loop
+  // idle waits out; host timer slack would stretch it by up to 50 µs.
+  const rtsj::PreciseTimerScope precise_timers;
   const auto poll =
       std::chrono::nanoseconds(options_.poll_interval.nanos());
   while (serving_.load()) {

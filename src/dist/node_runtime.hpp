@@ -68,7 +68,8 @@ class NodeRuntime {
     /// Serve-loop poll cadence, and the bound on one idle wait of the
     /// executive. The serve thread wakes the executive whenever it hands
     /// it work, so the executive waits this long only when nothing
-    /// arrives.
+    /// arrives. The cadence is exact: both threads wait with 1 ns timer
+    /// slack (rtsj::PreciseTimerScope), not the host's default.
     rtsj::RelativeTime poll_interval = rtsj::RelativeTime::microseconds(200);
     /// PREPARE: how long to wait for the local executive to park before
     /// voting PREPARE_FAIL (the coordinator sees a straggler either way).

@@ -8,6 +8,11 @@
 #include <sched.h>
 #endif
 
+#if defined(__linux__)
+#define RTCF_HAVE_TIMER_SLACK 1
+#include <sys/prctl.h>
+#endif
+
 namespace rtcf::rtsj {
 
 int to_os_priority(int rtsj_priority) noexcept {
@@ -26,6 +31,25 @@ bool try_set_current_thread_priority(int rtsj_priority) noexcept {
 #else
   (void)rtsj_priority;
   return false;
+#endif
+}
+
+PreciseTimerScope::PreciseTimerScope() noexcept {
+#ifdef RTCF_HAVE_TIMER_SLACK
+  // -1 is an error, 0 a thread that already has no slack (real-time
+  // policy) and 1 the floor: in each case there is nothing to change.
+  const long previous = prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0);
+  if (previous > 1 && prctl(PR_SET_TIMERSLACK, 1UL, 0, 0, 0) == 0) {
+    previous_ns_ = previous;
+  }
+#endif
+}
+
+PreciseTimerScope::~PreciseTimerScope() {
+#ifdef RTCF_HAVE_TIMER_SLACK
+  if (previous_ns_ > 0) {
+    prctl(PR_SET_TIMERSLACK, static_cast<unsigned long>(previous_ns_), 0, 0, 0);
+  }
 #endif
 }
 

@@ -99,6 +99,9 @@ void Launcher::run(const Options& options) {
                "launcher needs at least one periodic active component (or "
                "a mode manager driving a release-less assembly)");
   if (options.workers <= 1) {
+    // The single-core executive waits on the caller's thread; the caller
+    // gets its own timer slack back when the run ends.
+    const rtsj::PreciseTimerScope precise_timers;
     run_single(options);
     return;
   }
@@ -278,9 +281,16 @@ void Launcher::run_single(const Options& options) {
     // recompute instead of dispatching against the stale plan (which
     // could fire a release before its scheduled instant).
     bool replanned = false;
-    if (options.busy_wait) {
+    if (mm == nullptr) {
+      // A past instant sleeps not at all.
+      std::this_thread::sleep_for(
+          std::chrono::nanoseconds((next - clock.now()).nanos()));
+    } else {
+      // Wait in poll_interval chunks so externally requested transitions
+      // keep their dispatch-boundary latency bound even while the
+      // executive is idle; wake() ends a chunk early.
       while (clock.now() < next) {
-        if (mm == nullptr) continue;
+        const std::uint64_t seen = wake_generation();
         mm->poll(0);
         if (mm->plan_epoch() != seen_epoch) {
           sync_mode();
@@ -288,29 +298,10 @@ void Launcher::run_single(const Options& options) {
           break;
         }
         boundary();
-      }
-    } else if (clock.now() < next) {
-      if (mm == nullptr) {
-        std::this_thread::sleep_for(
-            std::chrono::nanoseconds((next - clock.now()).nanos()));
-      } else {
-        // Wait in poll_interval chunks so externally requested
-        // transitions keep their dispatch-boundary latency bound even
-        // while the executive is idle; wake() ends a chunk early.
-        while (clock.now() < next) {
-          const std::uint64_t seen = wake_generation();
-          mm->poll(0);
-          if (mm->plan_epoch() != seen_epoch) {
-            sync_mode();
-            replanned = true;
-            break;
-          }
-          boundary();
-          const auto remaining =
-              std::chrono::nanoseconds((next - clock.now()).nanos());
-          if (remaining.count() > 0) {
-            idle_wait(seen, std::min(poll, remaining));
-          }
+        const auto remaining =
+            std::chrono::nanoseconds((next - clock.now()).nanos());
+        if (remaining.count() > 0) {
+          idle_wait(seen, std::min(poll, remaining));
         }
       }
     }
@@ -361,6 +352,7 @@ void Launcher::run_partitioned(const Options& options) {
   for (std::size_t w = 0; w < workers; ++w) {
     threads.emplace_back([this, w, &options, start, end, &failure_mutex,
                           &failure] {
+      const rtsj::PreciseTimerScope precise_timers;
       try {
         worker_loop(w, options, start, end);
       } catch (...) {
@@ -471,7 +463,7 @@ void Launcher::worker_loop(std::size_t worker, const Options& options,
       }
       boundary();
       const bool moved = app_.pump_partition(worker);
-      if (moved || options.busy_wait) continue;
+      if (moved) continue;
       const auto remaining =
           std::chrono::nanoseconds((next - clock.now()).nanos());
       if (remaining.count() > 0) {

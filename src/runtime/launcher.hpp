@@ -49,9 +49,6 @@ class Launcher {
   struct Options {
     /// How long to run.
     rtsj::RelativeTime duration = rtsj::RelativeTime::milliseconds(100);
-    /// Spin instead of sleeping between releases (tighter release jitter
-    /// at the price of CPU burn).
-    bool busy_wait = false;
     /// Number of executive workers. Must equal the application plan's
     /// partition_count; 1 selects the single-core cyclic executive.
     std::size_t workers = 1;
@@ -60,10 +57,12 @@ class Launcher {
     /// degraded to SCHED_OTHER without privileges.
     bool apply_os_priorities = false;
     /// Bound on one idle wait: how long a waiting worker sleeps before it
-    /// polls again for cross-worker activations (partitioned + !busy_wait
-    /// only), and the mode-manager and boundary-hook cadence of a waiting
-    /// single-core executive. It bounds only waits nobody signals: wake()
-    /// ends a wait at once.
+    /// polls again for cross-worker activations (partitioned only), and
+    /// the mode-manager and boundary-hook cadence of a waiting single-core
+    /// executive. It bounds only waits nobody signals: wake() ends a wait
+    /// at once. The cadence is exact, not stretched by the host's timer
+    /// slack: every executive thread waits with 1 ns slack for the length
+    /// of the run (rtsj::PreciseTimerScope).
     rtsj::RelativeTime poll_interval = rtsj::RelativeTime::microseconds(200);
     /// Drives mode transitions and live reloads (src/reconfig): every
     /// worker polls the manager at each dispatch boundary — parking there

@@ -1,10 +1,14 @@
 // Distributed reconfiguration end to end: two NodeRuntimes over loopback
 // channels under one ReconfigCoordinator — atomic commit, vetoed prepare,
-// straggler timeout, cluster demotion, shared-clock mirror
-// (`ctest -L dist`).
+// straggler timeout, cluster demotion, shared-clock mirror, serve-thread
+// timer precision (`ctest -L dist`).
 #include <gtest/gtest.h>
+#include <sys/prctl.h>
 
+#include <atomic>
 #include <chrono>
+#include <mutex>
+#include <set>
 #include <thread>
 
 #include "dist/cluster_sim.hpp"
@@ -430,6 +434,68 @@ TEST(DistReconfigTest, GovernorDemotionShutsDownAWholeNode) {
 
   cluster.alpha->stop();
   cluster.beta->stop();
+}
+
+/// A peer channel that records the timer slack of the thread calling
+/// receive() while `recording` is set. The serve loop polls its peer
+/// channels on the serve thread; stop()'s final drain polls them on the
+/// caller's, so the test stops recording before it.
+class SlackProbeChannel final : public comm::Channel {
+ public:
+  explicit SlackProbeChannel(std::shared_ptr<comm::Channel> inner)
+      : inner_(std::move(inner)) {}
+
+  using comm::Channel::send;
+  bool send(const comm::Frame& frame) override { return inner_->send(frame); }
+  bool receive(comm::Frame& frame, rtsj::RelativeTime timeout) override {
+    if (recording.load()) {
+      const long slack = prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0);
+      const std::lock_guard<std::mutex> lock(mutex_);
+      seen_.insert(slack);
+    }
+    return inner_->receive(frame, timeout);
+  }
+  void close() override { inner_->close(); }
+  bool open() const override { return inner_->open(); }
+
+  std::set<long> seen() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return seen_;
+  }
+
+  std::atomic<bool> recording{true};
+
+ private:
+  std::shared_ptr<comm::Channel> inner_;
+  mutable std::mutex mutex_;
+  std::set<long> seen_;
+};
+
+TEST(DistReconfigTest, ServeThreadWaitsWithOneNanosecondTimerSlack) {
+  // A new thread starts with its creator's slack: give this thread Linux's
+  // default 50 µs, which a serve thread without its own scope would keep.
+  const long own = prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0);
+  ASSERT_EQ(prctl(PR_SET_TIMERSLACK, 50'000L, 0, 0, 0), 0);
+  NodeRuntime::Options options;
+  options.run_duration = rtsj::RelativeTime::milliseconds(100);
+  const Architecture global = base_arch();
+  const NodeMap map = target_map();
+  NodeRuntime alpha(global, map, "alpha", options);
+  NodeRuntime beta(global, map, "beta", options);
+  auto [ab, ba] = comm::LoopbackChannel::make_pair();
+  auto probe = std::make_shared<SlackProbeChannel>(ab);
+  alpha.connect_peer("beta", probe);
+  beta.connect_peer("alpha", ba);
+
+  alpha.start();
+  beta.start();
+  alpha.join_executive();
+  probe->recording.store(false);
+  alpha.stop();
+  beta.stop();
+  prctl(PR_SET_TIMERSLACK, own, 0, 0, 0);
+
+  EXPECT_EQ(probe->seen(), std::set<long>{1});
 }
 
 TEST(DistClusterSimTest, SharedClockMirrorReplaysBitForBit) {

@@ -1,9 +1,11 @@
 // Wall-clock cyclic-executive launcher.
 #include <gtest/gtest.h>
+#include <sys/prctl.h>
 
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -76,6 +78,41 @@ void expect_wake_runs_the_boundary_now(std::size_t workers) {
   app->stop();
 }
 
+/// The calling thread's timer slack, in ns.
+long timer_slack_ns() { return prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0); }
+
+/// The executive thread waits with 1 ns timer slack, whatever slack its
+/// creator had: the boundary hook reads it on that thread (the caller's in
+/// single-core mode, worker 0's when partitioned). The caller gets its own
+/// slack back when run() returns.
+void expect_executive_waits_with_precise_timers(std::size_t workers) {
+  constexpr long kHostSlackNs = 50'000;  // Linux's default timer slack
+  const long own = timer_slack_ns();
+  ASSERT_EQ(prctl(PR_SET_TIMERSLACK, kHostSlackNs, 0, 0, 0), 0);
+  model::Architecture arch = sporadic_only_architecture();
+  model::ModeDecl normal;
+  normal.name = "Normal";
+  arch.add_mode(std::move(normal));
+  auto app = soleil::build_application(arch, soleil::Mode::Soleil, workers);
+  app->start();
+  reconfig::ModeManager mode_manager(*app);
+  Launcher launcher(*app);
+
+  std::set<long> seen;  // written by the executive, read after the join
+  Launcher::Options options;
+  options.duration = rtsj::RelativeTime::milliseconds(20);
+  options.workers = workers;
+  options.mode_manager = &mode_manager;
+  options.boundary_hook = [&] { seen.insert(timer_slack_ns()); };
+  launcher.run(options);
+  const long after = timer_slack_ns();
+  prctl(PR_SET_TIMERSLACK, own, 0, 0, 0);
+  app->stop();
+
+  EXPECT_EQ(seen, std::set<long>{1});
+  EXPECT_EQ(after, kHostSlackNs);
+}
+
 TEST(LauncherTest, RunsPeriodicReleasesInRealTime) {
   const auto arch = scenario::make_production_architecture();
   auto app = soleil::build_application(arch, soleil::Mode::MergeAll);
@@ -140,6 +177,14 @@ TEST(LauncherTest, WakeEndsTheIdleWaitAtOnce) {
 
 TEST(LauncherTest, WakeReachesPartitionedWorkerZero) {
   expect_wake_runs_the_boundary_now(2);
+}
+
+TEST(LauncherTest, ExecutiveWaitsWithOneNanosecondTimerSlack) {
+  expect_executive_waits_with_precise_timers(1);
+}
+
+TEST(LauncherTest, PartitionedWorkerWaitsWithOneNanosecondTimerSlack) {
+  expect_executive_waits_with_precise_timers(2);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Logical RTSJ threads: profiles, contexts, sporadic admission, deadline
 // handlers.
 #include <gtest/gtest.h>
+#include <sys/prctl.h>
 
 #include "rtsj/memory/memory_area.hpp"
+#include "rtsj/threads/os_sched.hpp"
 #include "rtsj/threads/realtime_thread.hpp"
 
 namespace rtcf::rtsj {
@@ -129,6 +131,27 @@ TEST(RegularThreadTest, DefaultsToHeapContext) {
     EXPECT_EQ(current_area().kind(), AreaKind::Heap);
   });
   thread.run_release();
+}
+
+TEST(PreciseTimerScopeTest, HoldsOneNanosecondThenRestoresTheSlack) {
+  const auto slack = [] { return prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0); };
+  const long own = slack();
+  ASSERT_EQ(prctl(PR_SET_TIMERSLACK, 50'000L, 0, 0, 0), 0);
+  long inside = 0;
+  long after_nested = 0;
+  {
+    const PreciseTimerScope scope;
+    inside = slack();
+    {
+      const PreciseTimerScope again;  // already at the floor: no-op
+    }
+    after_nested = slack();
+  }
+  const long after = slack();
+  prctl(PR_SET_TIMERSLACK, own, 0, 0, 0);
+  EXPECT_EQ(inside, 1);
+  EXPECT_EQ(after_nested, 1) << "a nested scope must not restore 50 µs";
+  EXPECT_EQ(after, 50'000);
 }
 
 }  // namespace
